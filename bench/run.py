@@ -12,7 +12,8 @@ one JSON object as the last line of standard output.
 * ``--trace 0`` reports the end-to-end metrics: the time of one pass over
   the job list and the median and tail job time, all rescaled to reference
   host speed (see ``calibrate``); set-up time (median of several fresh
-  interpreters that import cyclat and generate the inputs); and peak memory.
+  interpreters that import cyclat and generate the inputs, also rescaled);
+  and peak memory.
 * ``--trace 1`` spends half the time untraced and half with every public
   entry point wrapped (``tracing.py``), and reports the per-layer metrics
   and the tracing overhead.
@@ -46,7 +47,7 @@ ROOT = os.path.dirname(BENCH)
 SRC = os.path.join(ROOT, "src")
 RESULTS = os.path.join(BENCH, "results")
 REFERENCES = os.path.join(BENCH, "reference_digests.json")
-SETUP_PROBES = 5  # at least this many set-up probes per run
+SETUP_PROBES = 9  # at least this many set-up probes per run
 SETUP_TIMEOUT = 60
 MIN_PASSES = 3  # at least this many passes in an untraced run, whatever --seconds says
 
@@ -274,19 +275,35 @@ def setup(workload, seed, small=False):
     return workloads.make_jobs(workload, seed, workdir, small), workdir
 
 
-def setup_probe(workload, seed, small=False):
-    """Seconds for a fresh interpreter to start, import cyclat and build the inputs.
+# Set-up time follows host speed less closely than the calibration kernel
+# does: a third of it is bare interpreter start (process creation, dynamic
+# loading, unmarshalling the standard library).  So each set-up probe is
+# rescaled by a bare interpreter started just before and just after it, to
+# REF_START_S, about that start time when the host is quiet.
+REF_START_S = 0.04
+_BARE_START = "import time; print(repr(time.clock_gettime(time.CLOCK_MONOTONIC)))"
 
-    The probe prints the system-wide monotonic clock once its inputs exist;
-    its time runs from just before it is spawned to that stamp, so
-    interpreter teardown and the wait for the child to be reaped are left out.
+
+def _time_to_stamp(argv):
+    """Seconds from just before ``argv`` is spawned to the monotonic stamp it prints last.
+
+    Interpreter teardown and the wait for the child to be reaped are left out.
     """
-    argv = [sys.executable, os.path.abspath(__file__), "--setup-only", "--workload", workload, "--seed", str(seed)]
-    if small:
-        argv.append("--small")
     start = time.clock_gettime(time.CLOCK_MONOTONIC)
     done = subprocess.run(argv, cwd=ROOT, check=True, timeout=SETUP_TIMEOUT, capture_output=True, text=True)
     return float(done.stdout.split()[-1]) - start
+
+
+def setup_probe(workload, seed, small=False):
+    """(raw, rescaled) seconds for a fresh interpreter to start, import cyclat and build the inputs."""
+    argv = [sys.executable, os.path.abspath(__file__), "--setup-only", "--workload", workload, "--seed", str(seed)]
+    if small:
+        argv.append("--small")
+    bare = [sys.executable, "-c", _BARE_START]
+    before = _time_to_stamp(bare)
+    took = _time_to_stamp(argv)
+    after = _time_to_stamp(bare)
+    return took, took * REF_START_S * 2 / (before + after)
 
 
 def metadata(args):
@@ -339,7 +356,7 @@ def end_to_end(stats, jobs_per_pass, setup_samples):
         "wall_ref_s": statistics.median(stats.pass_ref_times),
         "job_p50_ref_s": statistics.median(stats.job_ref_times),
         "job_tail_ref_s": tail_ref,
-        "setup_s": statistics.median(setup_samples),
+        "setup_s": statistics.median(ref for _, ref in setup_samples),
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     extra = {
@@ -352,6 +369,7 @@ def end_to_end(stats, jobs_per_pass, setup_samples):
         "pass_times_s": stats.pass_times,
         "pass_ref_times_s": stats.pass_ref_times,
         "kernel_median_s": statistics.median(stats.kernel_times),
+        "setup_raw_s": statistics.median(raw for raw, _ in setup_samples),
         "setup_samples_s": setup_samples,
     }
     return values, extra
@@ -501,7 +519,7 @@ def main(argv=None):
     for key in ("fail_frac", "unresolved_frac"):
         print(f"{key} {extra[key]:.6g} frac")
     if args.trace == 0:
-        for key in ("wall_s", "job_p50_s", "job_tail_s"):
+        for key in ("wall_s", "job_p50_s", "job_tail_s", "setup_raw_s"):
             print(f"{key} {extra[key]:.6g} s (raw wall clock)")
         print(f"job_tail_percentile {extra['job_tail_percentile']} of {extra['jobs_timed']} jobs")
     for name, value in values.items():

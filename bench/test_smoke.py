@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -109,6 +110,30 @@ def test_tracer_patches_every_binding():
     for name in ("cli.main", "cohomology.yakovlev_diagram", "finmod.module_init", "diagrams.check"):
         assert totals[name][0] > 0, name
 
+
+def test_untraced_time_lowers_accounted_frac():
+    """Time outside every traced function is not counted as a layer's."""
+    argv = ["diagram", "--p", "3", "--n", "2", "--kind", "mab", "--a", "1", "--b", "1"]
+
+    def job():
+        deadline = time.perf_counter() + 0.05
+        while time.perf_counter() < deadline:  # untraced work at the job root
+            pass
+        return workloads.run_cli(argv)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        began = time.perf_counter()
+        tracer.job(0, job)
+        took = time.perf_counter() - began
+    finally:
+        tracer.uninstall()
+    values = tracing.layer_metrics(tracer.totals(), tracer.counters, tracer.bookkeeping, [took], 0.0)
+    assert values["bench.self_s"] >= 0.05
+    layers = sum(values[f"{layer}.self_s"] for layer in tracing.LAYERS)
+    assert values["trace.accounted_frac"] == pytest.approx(layers / (took - tracer.bookkeeping))
+    assert values["trace.accounted_frac"] < 1 - 0.05 / took + 1e-3
 
 def test_ladder_oracle_rejects_a_flipped_label():
     job = workloads._diagram_job(3, 2, label=(1, 1))

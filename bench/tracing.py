@@ -10,8 +10,12 @@ original objects back, so untraced and traced passes run in one process.
 Self time of a span is its duration minus the duration of the traced spans
 it directly encloses.  Bookkeeping done after a call returns (counters such
 as multiply-adds or coefficient bits) is timed and charged to
-``trace.bookkeeping`` instead of to the caller, so the per-layer self times
-plus that bucket tile the traced job time exactly.
+``trace.bookkeeping`` instead of to the caller.  The per-layer self times,
+the harness's own time inside jobs (``bench.self_s``) and that bucket tile
+the traced job time.  ``trace.accounted_frac`` is the layers' share of
+the traced job time less bookkeeping, which exists only under tracing, so
+cyclat or harness time spent outside every traced function shows as a drop
+in it.
 """
 
 from __future__ import annotations
@@ -399,7 +403,6 @@ def layer_metrics(totals, counters, bookkeeping, traced_passes, overhead):
     values["bench.self_s"] = totals[JOB_SPAN][1] / passes
     values["trace.bookkeeping_s"] = bookkeeping / passes
     layer_sum = sum(values[f"{layer}.self_s"] for layer in LAYERS)
-    accounted = layer_sum + values["bench.self_s"] + values["trace.bookkeeping_s"]
-    values["trace.accounted_frac"] = accounted * passes / sum(traced_passes)
+    values["trace.accounted_frac"] = layer_sum * passes / (sum(traced_passes) - bookkeeping)
     values["trace_overhead_frac"] = overhead
     return {name: values[name] for name, _, _ in per_layer_spec()}
