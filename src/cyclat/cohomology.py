@@ -18,8 +18,14 @@ rung identities hold on the nose and are re-checked on every build.
 from __future__ import annotations
 
 from . import intmat
-from .diagrams import YakovlevDiagram, _check_diagram
+from .diagrams import YakovlevDiagram, _check_diagram, _minimized_diagram
 from .finmod import FiniteGammaModule, GammaMap
+
+
+def _moved(lattice, j):
+    """Matrix of s_j - 1, for s_j generating the subgroup of order p^j."""
+    gen = lattice.subgroup_generator_matrix(j)
+    return [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(gen)]
 
 
 def _h1_data(lattice, j):
@@ -27,7 +33,9 @@ def _h1_data(lattice, j):
 
     ``kernel_basis`` has the basis of ker(Norm_j) as columns (None when the
     kernel is trivial); the module presents that kernel modulo the image of
-    s_j - 1 with the induced sigma action.
+    s_j - 1 with the induced sigma action.  The module is validated once, on
+    its invariant-factor form, whose p-power diagonal relations keep the
+    check small; the raw presentation itself is built trusted.
     """
     params = lattice.params
     params.check_level(j)
@@ -43,14 +51,10 @@ def _h1_data(lattice, j):
     if k == 0:
         cache[j] = (FiniteGammaModule.zero(params), None)
         return cache[j]
-    gen = lattice.subgroup_generator_matrix(j)
-    co_move = [
-        [gen[r][c] - (1 if r == c else 0) for c in range(lattice.rank)]
-        for r in range(lattice.rank)
-    ]
-    relations = intmat.solve_exact(basis, co_move)
+    relations = intmat.solve_exact(basis, _moved(lattice, j))
     action = intmat.solve_exact(basis, intmat.mat_mul(lattice.action, basis))
-    module = FiniteGammaModule(params, k, relations, action)
+    module = FiniteGammaModule(params, k, relations, action, _trusted=True)
+    module.minimized()[0]._validate()
     cache[j] = (module, basis)
     return cache[j]
 
@@ -66,12 +70,7 @@ def tate_h0(lattice, j):
     params.check_level(j)
     if j == 0 or lattice.rank == 0:
         return FiniteGammaModule.zero(params)
-    gen = lattice.subgroup_generator_matrix(j)
-    moved = [
-        [gen[r][c] - (1 if r == c else 0) for c in range(lattice.rank)]
-        for r in range(lattice.rank)
-    ]
-    fixed = intmat.kernel(moved, ncols=lattice.rank)
+    fixed = intmat.kernel(_moved(lattice, j), ncols=lattice.rank)
     f = len(fixed[0]) if fixed and fixed[0] else 0
     if f == 0:
         return FiniteGammaModule.zero(params)
@@ -86,20 +85,16 @@ def fixed_rank(lattice, j):
         return 0
     if j == 0:
         return lattice.rank
-    gen = lattice.subgroup_generator_matrix(j)
-    moved = [
-        [gen[r][c] - (1 if r == c else 0) for c in range(lattice.rank)]
-        for r in range(lattice.rank)
-    ]
-    return lattice.rank - intmat.rank(moved)
+    return lattice.rank - intmat.rank(_moved(lattice, j))
 
 
-def down_map(lattice, i):
+def down_map(lattice, i, _trusted=False):
     """Restriction from level i to level i-1 (1 <= i <= n).
 
     On norm-kernel representatives this is the relative norm of the step,
     which lands in the lower norm kernel.  For i = 1 the target level is the
-    zero module, so the map is the zero map.
+    zero module, so the map is the zero map.  ``_trusted`` skips the map
+    check, for callers that check the map themselves.
     """
     if not 1 <= i <= lattice.params.n:
         raise ValueError(f"down map level {i} outside 1..{lattice.params.n}")
@@ -107,15 +102,16 @@ def down_map(lattice, i):
     tgt, tgt_basis = _h1_data(lattice, i - 1)
     if src_basis is None or tgt_basis is None:
         return GammaMap.zero(src, tgt)
-    moved = intmat.mat_mul(lattice.relative_norm_matrix(i), src_basis)
-    return GammaMap(src, tgt, intmat.solve_exact(tgt_basis, moved))
+    moved = lattice.apply_relative_norm(i, src_basis)
+    return GammaMap(src, tgt, intmat.solve_exact(tgt_basis, moved), _trusted=_trusted)
 
 
-def up_map(lattice, i):
+def up_map(lattice, i, _trusted=False):
     """Corestriction from level i-1 to level i (1 <= i <= n).
 
     Induced by the inclusion of the lower norm kernel in the upper one.
     For i = 1 the source level is the zero module, so the map is zero.
+    ``_trusted`` skips the map check, as for :func:`down_map`.
     """
     if not 1 <= i <= lattice.params.n:
         raise ValueError(f"up map level {i} outside 1..{lattice.params.n}")
@@ -123,29 +119,21 @@ def up_map(lattice, i):
     tgt, tgt_basis = _h1_data(lattice, i)
     if src_basis is None or tgt_basis is None:
         return GammaMap.zero(src, tgt)
-    return GammaMap(src, tgt, intmat.solve_exact(tgt_basis, src_basis))
+    return GammaMap(src, tgt, intmat.solve_exact(tgt_basis, src_basis), _trusted=_trusted)
 
 
 def yakovlev_diagram(lattice):
-    """Full ladder diagram of the lattice, on minimized level presentations."""
-    params = lattice.params
-    n = params.n
-    raw_levels = [tate_h1(lattice, i) for i in range(1, n + 1)]
-    mins = [m.minimized() for m in raw_levels]
-    levels = [m[0] for m in mins]
+    """Full ladder diagram of the lattice, on minimized level presentations.
 
-    def transport(raw_map, src_idx, tgt_idx):
-        src, tgt = levels[src_idx], levels[tgt_idx]
-        if src.gens == 0 or tgt.gens == 0:
-            return GammaMap.zero(src, tgt)
-        mat = intmat.mat_mul(
-            mins[tgt_idx][1], intmat.mat_mul(raw_map.matrix, mins[src_idx][2])
-        )
-        return GammaMap(src, tgt, mat)
-
-    ups = [transport(up_map(lattice, i + 1), i - 1, i) for i in range(1, n)]
-    downs = [transport(down_map(lattice, i + 1), i, i - 1) for i in range(1, n)]
-    diagram = YakovlevDiagram(params, levels, ups, downs)
+    The rung maps are built unchecked on the raw presentations, transported
+    to the minimized ones, and checked exactly once there, together with
+    the ladder identities, by ``_check_diagram``.
+    """
+    n = lattice.params.n
+    levels = [tate_h1(lattice, i) for i in range(1, n + 1)]
+    ups = [up_map(lattice, i, _trusted=True) for i in range(2, n + 1)]
+    downs = [down_map(lattice, i, _trusted=True) for i in range(2, n + 1)]
+    diagram = _minimized_diagram(YakovlevDiagram(lattice.params, levels, ups, downs))
     _check_diagram(diagram)
     return diagram
 

@@ -260,8 +260,9 @@ def _library_summand_diagram(params, a, b):
                 [1 if t % m_high == r else 0 for t in range(m_low)]
                 for r in range(m_high)
             ]
-        ups.append(GammaMap(lower, upper, up))
-        downs.append(GammaMap(upper, lower, down))
+        # checked once, on the assembled sum in library_diagram
+        ups.append(GammaMap(lower, upper, up, _trusted=True))
+        downs.append(GammaMap(upper, lower, down, _trusted=True))
     return YakovlevDiagram(params, levels, ups, downs)
 
 
@@ -290,7 +291,11 @@ def library_diagram(params, multiset):
 
 
 def _minimized_diagram(diagram):
-    """Same diagram on invariant-factor presentations (maps transported)."""
+    """Same diagram on invariant-factor presentations (maps transported).
+
+    The transported maps are built unchecked: they are module maps whenever
+    the input maps are, and callers check either the input or the result.
+    """
     n = diagram.n
     mins = [lvl.minimized() for lvl in diagram.levels]
     levels = [m[0] for m in mins]
@@ -303,7 +308,7 @@ def _minimized_diagram(diagram):
         to_tgt = mins[tgt_idx][1]
         from_src = mins[src_idx][2]
         mat = intmat.mat_mul(to_tgt, intmat.mat_mul(raw.matrix, from_src))
-        return GammaMap(src, tgt, mat)
+        return GammaMap(src, tgt, mat, _trusted=True)
 
     for i in range(n - 1):
         ups.append(transport(diagram.ups[i], i, i + 1))

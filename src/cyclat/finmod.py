@@ -115,11 +115,14 @@ class FiniteGammaModule:
         for col in range(self.gens):
             if any(self.reduce_vec([image[i][col] for i in range(self.gens)])):
                 raise ValueError("action does not preserve the relation span")
-        # sigma^(p^n) acts as the identity
-        full = intmat.mat_pow(self.action, p**n)
-        ident = intmat.identity(self.gens)
+        # sigma^(p^n) acts as the identity; the exponent p^e kills the
+        # module, so each p-th power is taken mod p^e
+        modulus = p ** self.exponent_log()
+        full = self.action
+        for _ in range(n):
+            full = intmat.mat_mod(intmat.mat_pow(full, p), modulus)
         for col in range(self.gens):
-            diff = [full[i][col] - ident[i][col] for i in range(self.gens)]
+            diff = [full[i][col] - (i == col) for i in range(self.gens)]
             if any(self.reduce_vec(diff)):
                 raise ValueError("sigma^(p^n) does not act trivially")
 
@@ -197,7 +200,11 @@ class FiniteGammaModule:
 
         module' has diagonal relations with all pivots > 1; to_min maps old
         generator coordinates to new (k x g), from_min maps back (g x k),
-        and both are inverse to each other modulo relations.
+        and both are inverse to each other modulo relations.  Raises
+        ValueError if sigma does not preserve the relation span: in Smith
+        coordinates that is d_i | d_k * A'[i][k] for the transported action
+        A', which catches generators that are dropped as trivial but whose
+        image is not.
         """
         cache = self.__dict__.get("_minimized")
         if cache is not None:
@@ -219,7 +226,10 @@ class FiniteGammaModule:
             return cache
         # transported action, with each row reduced modulo its own modulus
         full = intmat.mat_mul(intmat.mat_mul(u, self.action), uinv)
-        act = [[full[i][k] % moduli[keep.index(i)] for k in keep] for i in keep]
+        for i in keep:
+            if any(full[i][k] * d[k][k] % d[i][i] for k in range(self.gens)):
+                raise ValueError("action does not preserve the relation span")
+        act = [[full[i][k] % d[i][i] for k in keep] for i in keep]
         k = len(keep)
         relations = [[moduli[i] if i == c else 0 for c in range(k)] for i in range(k)]
         mod = FiniteGammaModule(self.params, k, relations, act, _trusted=True)
@@ -479,8 +489,8 @@ class GammaMap:
 
     def compose(self, other):
         """self after other (other first)."""
-        if other.target is not self.source and other.target.gens != self.source.gens:
-            raise ValueError("composition shape mismatch")
+        if other.target is not self.source:
+            raise ValueError("composition needs other.target to be self.source")
         if self.target.gens == 0 or other.source.gens == 0 or self.source.gens == 0:
             # a zero endpoint or a zero middle module forces the zero map
             return GammaMap.zero(other.source, self.target)

@@ -55,8 +55,24 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """Product a @ b, accumulated row by row over the nonzero entries of a.
+
+    Each row of the result is the sum of x * b[k] over the nonzero entries
+    x = a[i][k]; zeros cost nothing, which matters because the lattice
+    matrices upstream (actions, kernel bases, norms) are mostly zero.
+    """
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b):
+            if x:
+                if x == 1:
+                    acc = [s + y for s, y in zip(acc, brow)]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):
@@ -276,10 +292,9 @@ def snf(a):
 
 
 def snf_diagonal(a):
-    """Invariant factors (nonzero diagonal of the Smith form), cheaply.
+    """Invariant factors: the nonzero diagonal d_1 | d_2 | ... of the Smith form.
 
-    Transform-free variant of :func:`snf`; returns the list of nonzero
-    invariant factors d_1 | d_2 | ...
+    Runs the full :func:`snf`, transforms included, and drops them.
     """
     d, _, _ = snf(a)
     m, n = shape(d)

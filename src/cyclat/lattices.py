@@ -61,16 +61,21 @@ class GammaLattice:
         """Action matrix of the generator of the subgroup of order p^j (j >= 1)."""
         return self.action_power(self.params.subgroup_generator_exponent(j))
 
+    def apply_relative_norm(self, i, cols):
+        """(1 + s + ... + s^(p-1)) @ cols, for s generating the order-p^i subgroup.
+
+        Costs p - 1 products by the sparse s and never forms the norm itself.
+        """
+        s = self.subgroup_generator_matrix(i)
+        total = term = cols
+        for _ in range(self.params.p - 1):
+            term = intmat.mat_mul(s, term)
+            total = intmat.mat_add(total, term)
+        return total
+
     def relative_norm_matrix(self, i):
         """Matrix of 1 + s + ... + s^(p-1) for s generating the order-p^i subgroup."""
-        p = self.params.p
-        s = self.subgroup_generator_matrix(i)
-        total = intmat.identity(self.rank)
-        power = intmat.identity(self.rank)
-        for _ in range(p - 1):
-            power = intmat.mat_mul(power, s)
-            total = intmat.mat_add(total, power)
-        return total
+        return self.apply_relative_norm(i, intmat.identity(self.rank))
 
     def norm_matrix(self, j):
         """Matrix of the full subgroup norm sum_{g in Gamma_j} g (j in 0..n).

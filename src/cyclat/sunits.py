@@ -279,9 +279,10 @@ def _rung_maps(datum, i, lower, upper):
                 up[off_high + t % size_high][off_low + t] = 1
         off_low += size_low
         off_high += size_high
+    # checked once, with the ladder identities, in predict_diagram
     return (
-        GammaMap(upper, lower, down),
-        GammaMap(lower, upper, up),
+        GammaMap(upper, lower, down, _trusted=True),
+        GammaMap(lower, upper, up, _trusted=True),
     )
 
 

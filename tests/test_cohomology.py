@@ -1,5 +1,7 @@
 """Tate cohomology of lattices over subgroup towers, and the level diagrams."""
 
+import itertools
+
 import pytest
 
 from cyclat import diagrams, intmat
@@ -12,7 +14,13 @@ from cyclat.cohomology import (
     up_map,
     yakovlev_diagram,
 )
-from cyclat.finmod import GammaMap, recognize_standard_sum, snf_invariants
+from cyclat.finmod import (
+    FiniteGammaModule,
+    GammaMap,
+    InvariantError,
+    recognize_standard_sum,
+    snf_invariants,
+)
 from cyclat.groupring import GroupParams
 from cyclat.lattices import (
     direct_sum,
@@ -163,6 +171,93 @@ class TestLevelMaps:
                 for k in range(3):
                     norm = intmat.mat_add(norm, low.action_power(k * step))
                 assert comp.equals_mod(GammaMap(low, low, norm))
+
+
+class TestValidatedOnce:
+    """Validation moved to the minimized forms: cheaper, and no weaker."""
+
+    def test_h1_action_faults_are_still_caught(self, monkeypatch):
+        # a single-entry change to an H^1 action is rejected by tate_h1, which
+        # checks the minimized form only, exactly when a check of the raw
+        # presentation rejects it (level 1 has exponent 3, so +3 is harmless)
+        pr = GroupParams(3, 2)
+        good = tate_h1(mab_lattice(pr, 1, 0), 1)
+        solve = intmat.solve_exact
+        verdicts = set()
+        for r, c, delta in itertools.product(range(good.gens), range(good.gens), (1, 3)):
+            bad = [row[:] for row in good.action]
+            bad[r][c] += delta
+            try:
+                FiniteGammaModule(pr, good.gens, good.relations, bad)
+            except ValueError:
+                raw_ok = False
+            else:
+                raw_ok = True
+            lat = mab_lattice(pr, 1, 0)
+            calls = []
+
+            def faulty(a, b):
+                x = solve(a, b)
+                calls.append(x)
+                if len(calls) == 2:  # _h1_data solves the relations, then the action
+                    x[r][c] += delta
+                return x
+
+            with monkeypatch.context() as patch:
+                patch.setattr(intmat, "solve_exact", faulty)
+                try:
+                    tate_h1(lat, 1)
+                except ValueError:
+                    h1_ok = False
+                else:
+                    h1_ok = True
+            assert len(calls) == 2
+            assert h1_ok == raw_ok, (r, c, delta)
+            verdicts.add(raw_ok)
+        assert verdicts == {True, False}
+
+    def test_each_rung_map_is_checked_once(self, monkeypatch):
+        checked = []
+        original = GammaMap._validate
+
+        def counting(self):
+            checked.append(self)
+            return original(self)
+
+        monkeypatch.setattr(GammaMap, "_validate", counting)
+        diag = yakovlev_diagram(mab_lattice(GroupParams(3, 3), 1, 1))
+        rungs = diag.ups + diag.downs
+        assert len(checked) == len(rungs)
+        assert {id(m) for m in checked} == {id(m) for m in rungs}
+
+    def test_corrupted_rung_map_fails_the_diagram_check(self):
+        pr = GroupParams(3, 2)
+        good = yakovlev_diagram(mab_lattice(pr, 2, 0))
+        assert good.level_invariants() == ((3,), (9,))
+        up = good.up(1)
+        bad_matrix = [[up.matrix[0][0] + 1]]  # 3 * image is no longer 0 mod 9
+        bad_up = GammaMap(up.source, up.target, bad_matrix, _trusted=True)
+        tampered = diagrams.YakovlevDiagram(pr, good.levels, [bad_up], good.downs)
+        assert not diagrams.validate_diagram(tampered)
+        with pytest.raises(diagrams.DiagramError):
+            diagrams._check_diagram(tampered)
+        assert diagrams.validate_diagram(good)
+
+    @pytest.mark.parametrize("build", [up_map, down_map])
+    def test_public_rung_maps_still_raise(self, build, monkeypatch):
+        lat = mab_lattice(GroupParams(3, 2), 2, 0)
+        for j in (1, 2):  # build the levels before the fault
+            tate_h1(lat, j)
+        solve = intmat.solve_exact
+
+        def off_by_one(a, b):
+            x = solve(a, b)
+            x[0][0] += 1
+            return x
+
+        monkeypatch.setattr(intmat, "solve_exact", off_by_one)
+        with pytest.raises(InvariantError):
+            build(lat, 2)
 
 
 class TestDiagram:

@@ -279,6 +279,39 @@ class TestMinimization:
         assert m.quotient_order_log(1, 0) == 3
 
 
+    @pytest.mark.parametrize(
+        "n, modulus, unit, ok",
+        [
+            (1, 9, 4, True),  # 4^3 = 64 = 1 mod 9
+            (1, 9, 2, False),  # 2^3 = 8 mod 9
+            (3, 27, 4, True),  # 4 has order 9 mod 27, and 9 | 27
+            (1, 27, 4, False),  # 4^3 = 10 mod 27
+            (2, 3**20, 3**19 + 1, True),  # order 3 mod 3^20
+            (1, 3**20, 3**18 + 1, False),  # order 9 mod 3^20
+        ],
+    )
+    def test_sigma_order_check(self, n, modulus, unit, ok):
+        pr = GroupParams(3, n)
+        if ok:
+            FiniteGammaModule(pr, 1, [[modulus]], [[unit]])
+        else:
+            with pytest.raises(ValueError):
+                FiniteGammaModule(pr, 1, [[modulus]], [[unit]])
+
+    def test_minimized_rejects_action_that_breaks_relations(self):
+        # e_0 is a relation (zero in the module), but sigma sends it to e_0 + e_1,
+        # which is not; the invariant-factor form drops e_0, so only the
+        # transport can see the fault
+        pr = GroupParams(3, 1)
+        relations = [[1, 0], [0, 3]]
+        action = [[1, 0], [1, 1]]
+        with pytest.raises(ValueError):
+            FiniteGammaModule(pr, 2, relations, action)
+        raw = FiniteGammaModule(pr, 2, relations, action, _trusted=True)
+        with pytest.raises(ValueError):
+            raw.minimized()
+
+
 class TestGeneratorCount:
     def test_block_sums_need_one_generator_per_block(self):
         pr = GroupParams(3, 2)
@@ -347,6 +380,16 @@ class TestGammaMap:
         m = standard_sum(pr, {(1, 1): 1, (1, 2): 1})
         shift = GammaMap(m, m, m.action)
         assert shift.is_surjective()
+
+    def test_compose_requires_the_same_middle_module(self):
+        pr = GroupParams(3, 2)
+        first = FiniteGammaModule.standard(pr, 1, 2)
+        second = FiniteGammaModule.standard(pr, 1, 2)  # same shape, other object
+        f = GammaMap(first, first, [[1]])
+        g = GammaMap(second, second, [[1]])
+        with pytest.raises(ValueError):
+            g.compose(f)
+        assert f.compose(f).equals_mod(f)
 
     def test_compose_through_zero_module(self):
         pr = GroupParams(3, 2)

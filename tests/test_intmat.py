@@ -239,3 +239,63 @@ class TestHelpers:
         assert intmat.mat_mul(u, inv) == intmat.identity(2)
         with pytest.raises(ValueError):
             intmat.unimodular_inverse([[2, 0], [0, 1]])
+
+
+def naive_mul(a, b):
+    """Reference product by the textbook triple loop."""
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [
+        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
+        for row in a
+    ]
+
+
+class TestMatMul:
+    def test_matches_triple_loop_on_seeded_matrices(self):
+        rng = random.Random(20261018)
+        big = 2**70
+        for trial in range(60):
+            rows, inner, cols = (rng.randint(0, 7) for _ in range(3))
+            density = rng.choice((0.0, 0.1, 0.5, 1.0))
+            pick = rng.choice(
+                (
+                    lambda: rng.choice((-1, 1)),
+                    lambda: rng.randint(-9, 9),
+                    lambda: rng.randint(-big, big),
+                )
+            )
+
+            def entry():
+                return pick() if rng.random() < density else 0
+
+            a = [[entry() for _ in range(inner)] for _ in range(rows)]
+            b = [[entry() for _ in range(cols)] for _ in range(inner)]
+            if rows and rng.random() < 0.3:
+                a[rng.randrange(rows)] = [0] * inner  # an all-zero row
+            assert intmat.mat_mul(a, b) == naive_mul(a, b)
+
+    def test_large_negative_entries(self):
+        x = -(2**65) - 3
+        a = [[x, 1], [0, -1]]
+        b = [[x, 0], [2, x]]
+        assert intmat.mat_mul(a, b) == [[x * x + 2, x], [-2, -x]]
+
+    def test_empty_shapes(self):
+        assert intmat.mat_mul([], [[1, 2], [3, 4]]) == []  # 0 x k
+        assert intmat.mat_mul([[], []], []) == [[], []]  # k x 0 times []
+        assert intmat.mat_mul([[1, 2]], [[], []]) == [[]]  # zero-column b
+        assert intmat.mat_mul([], []) == []
+
+    def test_inner_dimension_truncates(self):
+        # like zip, a row longer than b stops at the last row of b
+        assert intmat.mat_mul([[1, 2, 3]], [[4], [5]]) == [[14]]
+
+    def test_mat_pow_matches_repeated_products(self):
+        rng = random.Random(5)
+        for size in (0, 1, 3, 5):
+            a = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(size)] for _ in range(size)]
+            acc = intmat.identity(size)
+            for k in range(9):
+                assert intmat.mat_pow(a, k) == acc
+                acc = naive_mul(acc, a)
