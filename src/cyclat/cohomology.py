@@ -22,12 +22,6 @@ from .diagrams import YakovlevDiagram, _check_diagram, _minimized_diagram
 from .finmod import FiniteGammaModule, GammaMap
 
 
-def _moved(lattice, j):
-    """Matrix of s_j - 1, for s_j generating the subgroup of order p^j."""
-    gen = lattice.subgroup_generator_matrix(j)
-    return [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(gen)]
-
-
 def _h1_data(lattice, j):
     """(module, kernel_basis) for the level-j group, cached on the lattice.
 
@@ -51,7 +45,7 @@ def _h1_data(lattice, j):
     if k == 0:
         cache[j] = (FiniteGammaModule.zero(params), None)
         return cache[j]
-    relations = intmat.solve_exact(basis, _moved(lattice, j))
+    relations = intmat.solve_exact(basis, lattice.moved_matrix(j))
     action = intmat.solve_exact(basis, intmat.mat_mul(lattice.action, basis))
     module = FiniteGammaModule(params, k, relations, action, _trusted=True)
     module.minimized()[0]._validate()
@@ -70,7 +64,7 @@ def tate_h0(lattice, j):
     params.check_level(j)
     if j == 0 or lattice.rank == 0:
         return FiniteGammaModule.zero(params)
-    fixed = intmat.kernel(_moved(lattice, j), ncols=lattice.rank)
+    fixed = intmat.kernel(lattice.moved_matrix(j), ncols=lattice.rank)
     f = len(fixed[0]) if fixed and fixed[0] else 0
     if f == 0:
         return FiniteGammaModule.zero(params)
@@ -85,7 +79,7 @@ def fixed_rank(lattice, j):
         return 0
     if j == 0:
         return lattice.rank
-    return lattice.rank - intmat.rank(_moved(lattice, j))
+    return lattice.rank - intmat.rank(lattice.moved_matrix(j))
 
 
 def down_map(lattice, i, _trusted=False):

@@ -120,14 +120,9 @@ def _check_diagram(diagram):
             raise DiagramError(
                 f"level {i} is not killed by p^{i} (exponent p^{mod.exponent_log()})"
             )
-        if mod.gens:
-            power = mod.action_power(p ** (n - i))
-            for c in range(mod.gens):
-                diff = [power[r][c] - (1 if r == c else 0) for r in range(mod.gens)]
-                if not mod.is_zero_vec(diff):
-                    raise DiagramError(
-                        f"index-p^{i} subgroup does not act trivially on level {i}"
-                    )
+        moved = intmat.mat_sub(mod.action_power(p ** (n - i)), intmat.identity(mod.gens))
+        if not mod.is_zero_mat(moved):
+            raise DiagramError(f"index-p^{i} subgroup does not act trivially on level {i}")
     for i in range(1, n):
         up, down = diagram.up(i), diagram.down(i)
         try:
@@ -136,24 +131,23 @@ def _check_diagram(diagram):
         except Exception as exc:
             raise DiagramError(f"rung {i} map is not a module map: {exc}") from exc
         upper, lower = diagram.level(i + 1), diagram.level(i)
-        # up after down = multiplication by p on the upper level
-        if upper.gens and down.source.gens:
-            comp = intmat.mat_mul(up.matrix, down.matrix)
-            for c in range(upper.gens):
-                diff = [comp[r][c] - (p if r == c else 0) for r in range(upper.gens)]
-                if not upper.is_zero_vec(diff):
-                    raise DiagramError(f"up(down(.)) != p . on level {i + 1}")
-        # down after up = relative-norm operator on the lower level
+        # up after down = multiplication by p on the upper level; a composite
+        # through a zero module is zero, and the sign of the difference does
+        # not matter
+        diff = intmat.mat_scale(p, intmat.identity(upper.gens))
         if lower.gens:
-            comp = intmat.mat_mul(down.matrix, up.matrix)
-            step = p ** (n - i - 1)
-            rel_norm = intmat.zeros(lower.gens, lower.gens)
-            for k in range(p):
-                rel_norm = intmat.mat_add(rel_norm, lower.action_power(k * step))
-            for c in range(lower.gens):
-                diff = [comp[r][c] - rel_norm[r][c] for r in range(lower.gens)]
-                if not lower.is_zero_vec(diff):
-                    raise DiagramError(f"down(up(.)) != relative norm on level {i}")
+            diff = intmat.mat_sub(intmat.mat_mul(up.matrix, down.matrix), diff)
+        if not upper.is_zero_mat(diff):
+            raise DiagramError(f"up(down(.)) != p . on level {i + 1}")
+        # down after up = relative-norm operator on the lower level
+        step = p ** (n - i - 1)
+        diff = intmat.zeros(lower.gens, lower.gens)
+        for k in range(p):
+            diff = intmat.mat_add(diff, lower.action_power(k * step))
+        if upper.gens:
+            diff = intmat.mat_sub(intmat.mat_mul(down.matrix, up.matrix), diff)
+        if not lower.is_zero_mat(diff):
+            raise DiagramError(f"down(up(.)) != relative norm on level {i}")
     return True
 
 
@@ -406,137 +400,86 @@ class _HomSystem:
 
     q: int
     layout: list  # per level: (base index, s, target gens)
-    hsyms: list  # per level: hsym[r][l] = coefficient row over all unknowns
+    hsyms: list  # per level: hsym[l][r] = coefficient row of entry (r, l) over all unknowns
     total: int
     basis: list = field(default_factory=list)  # triangular lattice basis columns
     pivots: list = field(default_factory=list)
 
 
+def _square_rows(h_out, a, b, h_in, target, q):
+    """Constraint rows saying h_out . a - b . h_in vanishes modulo the target relations.
+
+    ``h_in`` and ``h_out`` are symbolic level homs on the two sides of a
+    commuting square (``h[l][r]`` is the coefficient row of entry (r, l) over
+    all unknowns); ``a`` is the integer matrix on the source-diagram side and
+    ``b`` the one on the target-diagram side.  ``target`` is the minimized
+    module the square lands in, with diagonal relations d_r: the entry in
+    row r must vanish mod d_r, so its form is scaled by q // d_r to make every
+    row a congruence mod q.  A zero-generator module on any corner leaves the
+    matching products empty, so it needs no special case.
+    """
+    rows = []
+    for r in range(target.gens):
+        scale = q // target.relations[r][r]
+        for l, col in enumerate(h_in):
+            terms = [(x[l], h_out[k][r]) for k, x in enumerate(a) if x[l]]
+            terms += [(-c, col[k]) for k, c in enumerate(b[r]) if c]
+            if not terms:
+                continue
+            form = [0] * len(terms[0][1])
+            for c, sym in terms:
+                for u, v in enumerate(sym):
+                    if v:
+                        form[u] += c * v
+            row = [scale * x % q for x in form]
+            if any(row):
+                rows.append(row)
+    return rows
+
+
 def _build_hom_system(md1, md2):
+    """Solution lattice of the diagram homs from ``md1`` to ``md2`` (minimized).
+
+    The unknowns are the images, in each target level, of the chosen
+    Gamma-generators of the source level; every level hom is a fixed linear
+    form in them (``_word_matrices``).  A tuple of level homs is a diagram
+    hom exactly when one condition holds on every commuting square:
+    h_out . a - b . h_in = 0 modulo the target relations, for
+    a = the source relations and b = 0 (h kills them), a = b = sigma on each
+    side, and the up and down rungs.  ``_square_rows`` turns each square into
+    rows of R, and the homs are {y : R y = 0 mod q} with q = p^n.
+
+    That lattice is fixed by the set of constraints, not by how its rows are
+    written, and ``basis`` is its column Hermite form, which is unique; so
+    negating or reordering rows leaves ``basis`` and ``pivots`` unchanged.
+    """
     params = md1.params
-    n = params.n
     q = params.p**params.n
-    layout = []
-    hsyms = []
-    total = 0
-    word_data = []
-    for i in range(n):
-        src, tgt = md1.levels[i], md2.levels[i]
-        if src.gens == 0:
-            layout.append((total, 0, tgt.gens))
-            hsyms.append([])
-            word_data.append(([], {}))
-            continue
-        gen_idx, pmats = _word_matrices(src, tgt, q)
-        s = len(gen_idx)
-        layout.append((total, s, tgt.gens))
-        word_data.append((gen_idx, pmats))
-        total += s * tgt.gens
-    for i in range(n):
-        src, tgt = md1.levels[i], md2.levels[i]
-        base, s, gt = layout[i]
-        gen_idx, pmats = word_data[i]
-        hsym = [[[0] * total for _ in range(src.gens)] for _ in range(gt)]
+    layout, hsyms, total = [], [], 0
+    words = [_word_matrices(src, tgt, q) for src, tgt in zip(md1.levels, md2.levels)]
+    for (gen_idx, _), tgt in zip(words, md2.levels):
+        layout.append((total, len(gen_idx), tgt.gens))
+        total += len(gen_idx) * tgt.gens
+    for (base, s, gt), (_, pmats), src in zip(layout, words, md1.levels):
+        hsym = []
         for l in range(src.gens):
-            for j in range(s):
-                pm = pmats[(l, j)]
-                for r in range(gt):
-                    row = hsym[r][l]
-                    off = base + j * gt
-                    prow = pm[r]
-                    for c in range(gt):
-                        if prow[c]:
-                            row[off + c] = (row[off + c] + prow[c]) % q
+            col = []
+            for r in range(gt):
+                form = [0] * total
+                for j in range(s):
+                    form[base + j * gt : base + (j + 1) * gt] = pmats[(l, j)][r]
+                col.append(form)
+            hsym.append(col)
         hsyms.append(hsym)
     rows = []
-
-    def add_row(form, modulus):
-        scale = q // modulus
-        row = [(scale * x) % q for x in form]
-        if any(row):
-            rows.append(row)
-
-    for i in range(n):
-        src, tgt = md1.levels[i], md2.levels[i]
-        if src.gens == 0 or tgt.gens == 0:
-            continue
-        hsym = hsyms[i]
-        # h kills the (diagonal) source relations
-        for l in range(src.gens):
-            mu = src.relations[l][l]
-            for r in range(tgt.gens):
-                form = [(mu * x) % q for x in hsym[r][l]]
-                add_row(form, tgt.relations[r][r])
-        # h commutes with sigma
-        s_src, s_tgt = src.action, tgt.action
-        for l in range(src.gens):
-            for r in range(tgt.gens):
-                form = [0] * total
-                for rp in range(tgt.gens):
-                    cf = s_tgt[r][rp]
-                    if cf:
-                        hrow = hsym[rp][l]
-                        for k in range(total):
-                            if hrow[k]:
-                                form[k] = (form[k] + cf * hrow[k]) % q
-                for lp in range(src.gens):
-                    cf = s_src[lp][l]
-                    if cf:
-                        hrow = hsym[r][lp]
-                        for k in range(total):
-                            if hrow[k]:
-                                form[k] = (form[k] - cf * hrow[k]) % q
-                add_row(form, tgt.relations[r][r])
-    # h commutes with the rung maps
-    for i in range(n - 1):
-        low_s, high_s = md1.levels[i], md1.levels[i + 1]
-        low_t, high_t = md2.levels[i], md2.levels[i + 1]
-        up_s, up_t = md1.ups[i].matrix, md2.ups[i].matrix
-        dn_s, dn_t = md1.downs[i].matrix, md2.downs[i].matrix
-        # up: h_(i+1) . up_source = up_target . h_i   (maps low_s -> high_t)
-        if high_t.gens and low_s.gens:
-            for l in range(low_s.gens):
-                for r in range(high_t.gens):
-                    form = [0] * total
-                    if high_s.gens:
-                        for lp in range(high_s.gens):
-                            cf = up_s[lp][l]
-                            if cf:
-                                hrow = hsyms[i + 1][r][lp]
-                                for k in range(total):
-                                    if hrow[k]:
-                                        form[k] = (form[k] + cf * hrow[k]) % q
-                    if low_t.gens:
-                        for rp in range(low_t.gens):
-                            cf = up_t[r][rp]
-                            if cf:
-                                hrow = hsyms[i][rp][l]
-                                for k in range(total):
-                                    if hrow[k]:
-                                        form[k] = (form[k] - cf * hrow[k]) % q
-                    add_row(form, high_t.relations[r][r])
-        # down: h_i . down_source = down_target . h_(i+1)  (maps high_s -> low_t)
-        if low_t.gens and high_s.gens:
-            for l in range(high_s.gens):
-                for r in range(low_t.gens):
-                    form = [0] * total
-                    if low_s.gens:
-                        for lp in range(low_s.gens):
-                            cf = dn_s[lp][l]
-                            if cf:
-                                hrow = hsyms[i][r][lp]
-                                for k in range(total):
-                                    if hrow[k]:
-                                        form[k] = (form[k] + cf * hrow[k]) % q
-                    if high_t.gens:
-                        for rp in range(high_t.gens):
-                            cf = dn_t[r][rp]
-                            if cf:
-                                hrow = hsyms[i + 1][rp][l]
-                                for k in range(total):
-                                    if hrow[k]:
-                                        form[k] = (form[k] - cf * hrow[k]) % q
-                    add_row(form, low_t.relations[r][r])
+    for h, src, tgt in zip(hsyms, md1.levels, md2.levels):
+        rows += _square_rows(h, src.relations, intmat.zeros(tgt.gens, tgt.gens), h, tgt, q)
+        rows += _square_rows(h, src.action, tgt.action, h, tgt, q)
+    for i in range(params.n - 1):
+        up1, up2 = md1.ups[i].matrix, md2.ups[i].matrix
+        down1, down2 = md1.downs[i].matrix, md2.downs[i].matrix
+        rows += _square_rows(hsyms[i + 1], up1, up2, hsyms[i], md2.levels[i + 1], q)
+        rows += _square_rows(hsyms[i], down1, down2, hsyms[i + 1], md2.levels[i], q)
     system = _HomSystem(q=q, layout=layout, hsyms=hsyms, total=total)
     if total == 0:
         return system
@@ -577,7 +520,7 @@ def _candidate_maps(system, coeffs, md1, md2):
             [
                 sum(
                     cf * y[k]
-                    for k, cf in enumerate(hsym[r][l])
+                    for k, cf in enumerate(hsym[l][r])
                     if cf
                 )
                 % q

@@ -111,20 +111,16 @@ class FiniteGammaModule:
             return
         p, n = self.params.p, self.params.n
         # sigma stabilizes the relation span
-        image = intmat.mat_mul(self.action, self.relations)
-        for col in range(self.gens):
-            if any(self.reduce_vec([image[i][col] for i in range(self.gens)])):
-                raise ValueError("action does not preserve the relation span")
+        if not self.is_zero_mat(intmat.mat_mul(self.action, self.relations)):
+            raise ValueError("action does not preserve the relation span")
         # sigma^(p^n) acts as the identity; the exponent p^e kills the
         # module, so each p-th power is taken mod p^e
         modulus = p ** self.exponent_log()
         full = self.action
         for _ in range(n):
             full = intmat.mat_mod(intmat.mat_pow(full, p), modulus)
-        for col in range(self.gens):
-            diff = [full[i][col] - (i == col) for i in range(self.gens)]
-            if any(self.reduce_vec(diff)):
-                raise ValueError("sigma^(p^n) does not act trivially")
+        if not self.is_zero_mat(intmat.mat_sub(full, intmat.identity(self.gens))):
+            raise ValueError("sigma^(p^n) does not act trivially")
 
     # -- canonical reduction --------------------------------------------------
 
@@ -146,13 +142,12 @@ class FiniteGammaModule:
                     out[k] -= q * rel[k][i]
         return out
 
-    def reduce_mat(self, m):
-        cols = intmat.transpose(m)
-        red = [self.reduce_vec(c) for c in cols]
-        return intmat.transpose(red) if red else [[] for _ in range(self.gens)]
-
     def is_zero_vec(self, v):
         return not any(self.reduce_vec(v))
+
+    def is_zero_mat(self, m):
+        """Whether every column of m (gens rows) lies in the relation span."""
+        return all(self.is_zero_vec(col) for col in zip(*m))
 
     # -- sizes and invariants -------------------------------------------------
 
@@ -463,20 +458,14 @@ class GammaMap:
 
     def _validate(self):
         src, tgt = self.source, self.target
-        if src.gens == 0 or tgt.gens == 0:
-            return
         # relations of the source must die in the target
-        image = intmat.mat_mul(self.matrix, src.relations)
-        for c in range(src.gens):
-            if any(tgt.reduce_vec([image[r][c] for r in range(tgt.gens)])):
-                raise InvariantError("map does not kill the source relations")
+        if not tgt.is_zero_mat(intmat.mat_mul(self.matrix, src.relations)):
+            raise InvariantError("map does not kill the source relations")
         # sigma-equivariance modulo target relations
         left = intmat.mat_mul(self.matrix, src.action)
         right = intmat.mat_mul(tgt.action, self.matrix)
-        for c in range(src.gens):
-            diff = [left[r][c] - right[r][c] for r in range(tgt.gens)]
-            if any(tgt.reduce_vec(diff)):
-                raise InvariantError("map is not sigma-equivariant")
+        if not tgt.is_zero_mat(intmat.mat_sub(left, right)):
+            raise InvariantError("map is not sigma-equivariant")
 
     @classmethod
     def zero(cls, source, target):
@@ -503,25 +492,10 @@ class GammaMap:
 
     def equals_mod(self, other):
         """Whether two maps with the same endpoints agree modulo relations."""
-        if self.target.gens == 0:
-            return True
-        if self.source.gens == 0:
-            return True
-        for c in range(self.source.gens):
-            diff = [
-                self.matrix[r][c] - other.matrix[r][c] for r in range(self.target.gens)
-            ]
-            if any(self.target.reduce_vec(diff)):
-                return False
-        return True
+        return self.target.is_zero_mat(intmat.mat_sub(self.matrix, other.matrix))
 
     def is_zero_map(self):
-        if self.target.gens == 0 or self.source.gens == 0:
-            return True
-        return all(
-            not any(self.target.reduce_vec([self.matrix[r][c] for r in range(self.target.gens)]))
-            for c in range(self.source.gens)
-        )
+        return self.target.is_zero_mat(self.matrix)
 
     def image_order_log(self):
         """log_p of the image size."""

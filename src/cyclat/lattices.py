@@ -61,6 +61,11 @@ class GammaLattice:
         """Action matrix of the generator of the subgroup of order p^j (j >= 1)."""
         return self.action_power(self.params.subgroup_generator_exponent(j))
 
+    def moved_matrix(self, j):
+        """Matrix of s_j - I, for s_j generating the subgroup of order p^j (j >= 1)."""
+        s = self.subgroup_generator_matrix(j)
+        return [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(s)]
+
     def apply_relative_norm(self, i, cols):
         """(1 + s + ... + s^(p-1)) @ cols, for s generating the order-p^i subgroup.
 
@@ -167,8 +172,7 @@ def fixed_sublattice(lattice, j):
         return GammaLattice(lattice.params, [], _trusted=True), 0
     if j == 0:
         return lattice, r
-    s = lattice.subgroup_generator_matrix(j)
-    fixed_basis = intmat.kernel(intmat.mat_sub(s, intmat.identity(r)))
+    fixed_basis = intmat.kernel(lattice.moved_matrix(j))
     f = len(fixed_basis[0]) if fixed_basis and fixed_basis[0] else 0
     if f == 0:
         return GammaLattice(lattice.params, [], _trusted=True), 0

@@ -36,7 +36,7 @@ def is_prime(m):
         raise ValueError("is_prime accepts nonnegative integers below 2^64")
     if m < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if m == small:
             return True
         if m % small == 0:
@@ -73,11 +73,30 @@ def is_qualifying(p, q):
         raise TypeError("q must be an integer")
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
-    if q % p != 1:
-        return False
-    if q % (p * p) == 1:
-        return False
-    return pow(p, (q - 1) // p, q) != 1
+    return q % p == 1 and _qualifies(p, q)
+
+
+def _qualifies(p, q):
+    """The test for a prime q = 1 (mod p): q != 1 (mod p^2), p not a p-th power mod q."""
+    return q % (p * p) != 1 and pow(p, (q - 1) // p, q) != 1
+
+
+def _scan(p, bound):
+    """(count of primes q = 1 (mod p) below bound, the qualifying ones ascending)."""
+    _check_p(p)
+    if bound > _MAX_INPUT:
+        raise ValueError("bound exceeds the supported 64-bit range")
+    scanned = 0
+    qualifying = []
+    # only odd q = 1 (mod p) can qualify, i.e. q = 1 (mod 2p)
+    q = 2 * p + 1
+    while q < bound:
+        if is_prime(q):
+            scanned += 1
+            if _qualifies(p, q):
+                qualifying.append(q)
+        q += 2 * p
+    return scanned, qualifying
 
 
 @dataclass(frozen=True)
@@ -92,21 +111,8 @@ class PrimeSearchResult:
 
 def find_qualifying(p, bound):
     """All qualifying primes q < bound, ascending."""
-    _check_p(p)
-    if bound > _MAX_INPUT:
-        raise ValueError("bound exceeds the supported 64-bit range")
-    out = []
-    scanned = 0
-    # only odd q = 1 (mod p) can qualify, i.e. q = 1 (mod 2p)
-    q = 2 * p + 1
-    step = 2 * p
-    while q < bound:
-        if is_prime(q):
-            scanned += 1
-            if q % (p * p) != 1 and pow(p, (q - 1) // p, q) != 1:
-                out.append(q)
-        q += step
-    return PrimeSearchResult(p, bound, tuple(out), scanned)
+    scanned, qualifying = _scan(p, bound)
+    return PrimeSearchResult(p, bound, tuple(qualifying), scanned)
 
 
 @dataclass(frozen=True)
@@ -133,19 +139,7 @@ def density_report(p, bound):
     Requires at least 200 scanned primes in the progression, so the observed
     frequency is statistically meaningful; raises ValueError otherwise.
     """
-    _check_p(p)
-    if bound > _MAX_INPUT:
-        raise ValueError("bound exceeds the supported 64-bit range")
-    scanned = 0
-    qualifying = 0
-    q = 2 * p + 1
-    step = 2 * p
-    while q < bound:
-        if is_prime(q):
-            scanned += 1
-            if q % (p * p) != 1 and pow(p, (q - 1) // p, q) != 1:
-                qualifying += 1
-        q += step
+    scanned, qualifying = _scan(p, bound)
     if scanned < 200:
         raise ValueError(
             f"only {scanned} primes = 1 (mod {p}) below {bound}; "
@@ -155,7 +149,7 @@ def density_report(p, bound):
         p=p,
         bound=bound,
         scanned=scanned,
-        qualifying=qualifying,
+        qualifying=len(qualifying),
         expected_num=(p - 1) * (p - 1),
         expected_den=p * p,
     )

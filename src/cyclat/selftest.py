@@ -26,17 +26,13 @@ from .groupring import GroupParams
 SUITES = ("lemma", "stability", "corollary")
 
 
-def _library_labels(n):
-    return [(a, b) for a in range(1, n + 1) for b in range(0, n - a + 1)]
-
-
 def suite_lemma(seed=0):
     """Closed-form sweep over every library label at p in {3, 5}."""
     checks = []
     for p, top in ((3, 3), (5, 2)):
         for n in range(1, top + 1):
             params = GroupParams(p, n)
-            for a, b in _library_labels(n):
+            for a, b in diagrams._library_labels(n):
                 lat = lattices.mab_lattice(params, a, b)
                 diagram = cohomology.yakovlev_diagram(lat)
                 problems = []
@@ -85,7 +81,7 @@ def suite_stability(seed=0, trials=200):
     cases = []
     for n in range(1, 4):
         params = GroupParams(p, n)
-        for a, b in _library_labels(n):
+        for a, b in diagrams._library_labels(n):
             cases.append((params, a, b))
     per_case = [trials // len(cases)] * len(cases)
     for i in range(trials - sum(per_case)):

@@ -19,7 +19,7 @@ from cyclat.diagrams import (
     validate_diagram,
     zero_diagram,
 )
-from cyclat.finmod import GammaMap
+from cyclat.finmod import FiniteGammaModule, GammaMap
 from cyclat.groupring import GroupParams
 from cyclat.lattices import direct_sum, mab_lattice, permutation_lattice
 
@@ -66,6 +66,22 @@ class TestValidation:
         tampered = YakovlevDiagram(pr, good.levels, bad_ups, good.downs)
         assert not validate_diagram(tampered)
         assert validate_diagram(good)
+
+    def test_composites_through_a_zero_level(self):
+        # a composite through a zero level is zero, so it must still equal
+        # p on the upper level and the relative norm on the lower one
+        pr = GroupParams(3, 2)
+        zero = FiniteGammaModule.zero(pr)
+
+        def two_levels(lower, upper):
+            return YakovlevDiagram(
+                pr, [lower, upper], [GammaMap.zero(lower, upper)], [GammaMap.zero(upper, lower)]
+            )
+
+        assert validate_diagram(two_levels(zero, FiniteGammaModule.standard(pr, 1, 2)))
+        assert not validate_diagram(two_levels(zero, FiniteGammaModule.standard(pr, 2, 2)))
+        assert validate_diagram(two_levels(FiniteGammaModule.standard(pr, 1, 2), zero))
+        assert not validate_diagram(two_levels(FiniteGammaModule.standard(pr, 1, 1), zero))
 
     def test_structural_mismatch_raises_on_construction(self):
         pr = GroupParams(3, 2)

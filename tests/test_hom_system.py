@@ -1,0 +1,122 @@
+"""The hom system of the isomorphism search parametrizes diagram homs only.
+
+Every basis column of ``_build_hom_system`` and every random combination of
+them, evaluated by ``_candidate_maps``, must be a levelwise family of module
+maps (checked by the untrusted ``GammaMap`` constructor: relations and
+sigma) that commutes with every up and down map modulo the target relations.
+"""
+
+import random
+
+import pytest
+
+from cyclat.cohomology import yakovlev_diagram
+from cyclat.diagrams import (
+    YakovlevDiagram,
+    _build_hom_system,
+    _candidate_maps,
+    _library_labels,
+    _minimized_diagram,
+    library_diagram,
+)
+from cyclat.finmod import FiniteGammaModule, GammaMap
+from cyclat.groupring import GroupParams
+from cyclat.lattices import (
+    direct_sum,
+    mab_lattice,
+    permutation_lattice,
+    random_unimodular_change,
+)
+
+
+def _variant(rng, params, a, b):
+    """The lattice (a, b) with a permutation summand and/or a base change."""
+    lat = mab_lattice(params, a, b)
+    choice = rng.randrange(3)
+    if choice > 0:
+        lat = direct_sum([lat, permutation_lattice(params, rng.randrange(params.n + 1))])
+    if choice != 1:
+        lat = random_unimodular_change(lat, rng.getrandbits(64))
+    return lat
+
+
+def _zero_bottom_diagram(params):
+    """Valid diagram whose lowest level is zero: 0, F_p, F_p with up = 1, down = 0."""
+    zero = FiniteGammaModule.zero(params)
+    mid = FiniteGammaModule.standard(params, 1, params.n)
+    top = FiniteGammaModule.standard(params, 1, params.n)
+    ups = [GammaMap.zero(zero, mid), GammaMap(mid, top, [[1]])]
+    downs = [GammaMap.zero(mid, zero), GammaMap.zero(top, mid)]
+    return YakovlevDiagram(params, [zero, mid, top], ups, downs)
+
+
+def _top_zero_pair(params):
+    """Diagrams F_p -> F_p[x]/(x - 1)^2 on level 1 (p = 3, n = 2), zero above.
+
+    F_p[x]/(x - 1)^2 is F_p[Gamma/Gamma_1] modulo its norm, so both levels
+    are killed by the relative norm and the rung maps can be zero; sigma
+    fixes only part of the target, so only the sigma constraint keeps the
+    homs equivariant.
+    """
+    zero = FiniteGammaModule.zero(params)
+    trivial = FiniteGammaModule.standard(params, 1, params.n)
+    twisted = FiniteGammaModule.from_invariant_relations(params, [3, 3], [[0, -1], [1, -1]])
+
+    def one_level(mod):
+        return YakovlevDiagram(
+            params, [mod, zero], [GammaMap.zero(mod, zero)], [GammaMap.zero(zero, mod)]
+        )
+
+    return one_level(trivial), one_level(twisted)
+
+
+def _pairs():
+    rng = random.Random(20261018)
+    for n in (2, 3):
+        params = GroupParams(3, n)
+        for a, b in _library_labels(n):
+            lib = library_diagram(params, {(a, b): 1})
+            lat = yakovlev_diagram(_variant(rng, params, a, b))
+            yield f"p3n{n}_({a},{b})_lattice_to_library", lat, lib
+            yield f"p3n{n}_({a},{b})_library_to_lattice", lib, lat
+    params = GroupParams(3, 2)
+    two = library_diagram(params, {(1, 0): 1, (1, 1): 1})
+    summed = yakovlev_diagram(
+        random_unimodular_change(
+            direct_sum([mab_lattice(params, 1, 0), mab_lattice(params, 1, 1)]), 7
+        )
+    )
+    yield "p3n2_two_summands", summed, two
+    # not isomorphic; the target has larger exponents and smaller stabilizers
+    # than the source, so killing the relations and commuting with sigma are
+    # real constraints here (between equal level types they hold for free)
+    yield "p3n2_(1,1)_to_(2,0)+(1,0)", library_diagram(
+        params, {(1, 1): 1}
+    ), library_diagram(params, {(2, 0): 1, (1, 0): 1})
+    yield ("p3n2_trivial_to_twisted", *_top_zero_pair(params))
+    zero_bottom = _zero_bottom_diagram(GroupParams(3, 3))
+    yield "p3n3_zero_bottom_level", zero_bottom, zero_bottom
+
+
+PAIRS = {name: (d1, d2) for name, d1, d2 in _pairs()}
+
+
+def _check_diagram_hom(mats, md1, md2):
+    homs = [GammaMap(s, t, m) for s, t, m in zip(md1.levels, md2.levels, mats)]
+    for i in range(md1.n - 1):
+        assert homs[i + 1].compose(md1.ups[i]).equals_mod(md2.ups[i].compose(homs[i]))
+        assert homs[i].compose(md1.downs[i]).equals_mod(md2.downs[i].compose(homs[i + 1]))
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_every_parametrized_tuple_is_a_diagram_hom(name):
+    md1, md2 = (_minimized_diagram(d) for d in PAIRS[name])
+    system = _build_hom_system(md1, md2)
+    assert system.total > 0
+    for idx in range(system.total):
+        coeffs = [int(k == idx) for k in range(system.total)]
+        _check_diagram_hom(_candidate_maps(system, coeffs, md1, md2), md1, md2)
+    rng = random.Random(name)
+    for _ in range(5):
+        coeffs = [rng.randrange(system.q // t) for t in system.pivots]
+        _check_diagram_hom(_candidate_maps(system, coeffs, md1, md2), md1, md2)
