@@ -235,7 +235,7 @@ def _library_summand_diagram(params, a, b):
     n, p = params.n, params.p
     c = a + b
     levels = [
-        FiniteGammaModule.standard(params, min(i, a), max(i, c))
+        FiniteGammaModule.standard(params, *library_level_type(a, b, i))
         for i in range(1, n + 1)
     ]
     ups, downs = [], []
@@ -373,25 +373,7 @@ def _word_matrices(source, target, q):
 
 def _surjective_mod_p(h, rows, p):
     """Full row rank of h over F_p (Nakayama: equivalent to surjectivity)."""
-    if rows == 0:
-        return True
-    w = [[x % p for x in row] for row in h]
-    cols = len(w[0]) if w else 0
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if w[r][c]), None)
-        if piv is None:
-            continue
-        w[rank], w[piv] = w[piv], w[rank]
-        inv = pow(w[rank][c], -1, p)
-        for r in range(rank + 1, rows):
-            if w[r][c]:
-                f = (w[r][c] * inv) % p
-                w[r] = [(x - f * y) % p for x, y in zip(w[r], w[rank])]
-        rank += 1
-        if rank == rows:
-            return True
-    return rank == rows
+    return len(intmat.pivot_columns_mod_p(h, p)) == rows
 
 
 @dataclass
@@ -532,24 +514,38 @@ def _candidate_maps(system, coeffs, md1, md2):
     return mats
 
 
+def _level_key(module):
+    """Screen key of a level: its standard-sum labels, or else its divisor lists.
+
+    The divisor lists are ``level_divisors(j)`` for j = 0..n.  Recognition
+    is a function of those lists, and the labels of a standard sum determine
+    them, so two keys agree exactly when the divisor lists do.
+    """
+    labels = recognize_standard_sum(module)
+    if labels is not NotStandard:
+        return labels
+    return tuple(module.level_divisors(j) for j in range(module.params.n + 1))
+
+
 def _isomorphism_search(d1, d2, budget, seed):
-    """(IsoResult, witness): exact decision whenever the screen or search settles it."""
+    """(IsoResult, witness): exact decision whenever the screen or search settles it.
+
+    The screen compares ``_level_key`` level by level, then the image order
+    of every rung map.  These are isomorphism invariants, so a mismatch is
+    a definitive No.  The abelian invariants and coinvariant sizes of a
+    level are functions of its divisor lists, so they need no check of
+    their own.  Past the screen, equal minimized presentations give Yes;
+    otherwise the diagram homs are searched for one that is surjective on
+    every level, exhaustively when the hom group has at most ``budget``
+    elements (Yes or No), else by ``budget`` seeded samples (Yes or
+    Unknown).
+    """
     if d1.params != d2.params:
         raise ValueError("cannot compare diagrams over different groups")
     params = d1.params
     n = params.n
-    # invariant screen: any mismatch is a definitive No
-    for i in range(n):
-        a, b = d1.levels[i], d2.levels[i]
-        if a.invariants() != b.invariants():
-            return IsoResult.NO, None
-        if a.coinvariants_order_log() != b.coinvariants_order_log():
-            return IsoResult.NO, None
-        ra, rb = recognize_standard_sum(a), recognize_standard_sum(b)
-        if (ra is NotStandard) != (rb is NotStandard):
-            return IsoResult.NO, None
-        if ra is not NotStandard and ra != rb:
-            return IsoResult.NO, None
+    if any(_level_key(a) != _level_key(b) for a, b in zip(d1.levels, d2.levels)):
+        return IsoResult.NO, None
     for i in range(n - 1):
         if d1.ups[i].image_order_log() != d2.ups[i].image_order_log():
             return IsoResult.NO, None

@@ -9,6 +9,14 @@ factors and makes every later membership test a clean integral reduction
 (the saturated span has p-power index, so integral and local membership
 agree).
 
+Every size and invariant of a module is read off one list per subgroup
+level: ``level_divisors(j)``, the invariant factors of M / (s_j - 1)M, where
+s_j = sigma^(p^(n-j)) generates the subgroup Gamma_j of order p^j.  Level 0
+is M itself, so its divisors are the abelian invariants; the quotient
+orders |M / (p^a, s_j - 1)M| are sums of min(a, v_p(d)); and the standard
+module (Z/p^a)[Gamma/Gamma_j'] contributes p^(n - max(j, j')) divisors p^a
+at level j, which is how standard sums are recognized.
+
 Presentations can be minimized (Smith form of the relations), which is how
 the rest of the package keeps search spaces small: a minimized module has
 invariant-factor relations diag(d_1, ..., d_k) and its canonical coordinate
@@ -66,6 +74,8 @@ class FiniteGammaModule:
             relations = [list(map(int, row)) for row in relations]
             if len(relations) != self.gens:
                 raise ValueError("relation matrix must have one row per generator")
+            if len({len(row) for row in relations}) != 1:
+                raise ValueError("relation matrix rows must all have the same length")
             self.relations = intmat.hnf_p_saturated(relations, params.p)
             ncols = len(self.relations[0]) if self.relations and self.relations[0] else 0
             if ncols != self.gens:
@@ -161,19 +171,29 @@ class FiniteGammaModule:
     def is_zero(self):
         return self.order_log() == 0
 
+    def level_divisors(self, j):
+        """Invariant factors > 1 of M / (s_j - 1)M, smallest first.
+
+        s_j = sigma^(p^(n-j)) generates the subgroup of order p^j; every
+        divisor is a power of p.  One Smith diagonal of [relations | S_j - I]
+        per level, cached: all other sizes and invariants read from these.
+        """
+        self.params.check_level(j)
+        cache = self.__dict__.setdefault("_level_divisors", {})
+        if j not in cache:
+            divs = ()
+            if self.gens:
+                moved = intmat.mat_sub(
+                    self.action_power(self.params.p ** (self.params.n - j)),
+                    intmat.identity(self.gens),
+                )
+                divs = intmat.snf_diagonal(intmat.hstack(self.relations, moved))
+            cache[j] = tuple(d for d in divs if d > 1)
+        return cache[j]
+
     def invariants(self):
         """Abelian invariant factors (p-powers > 1), largest first."""
-        cache = self.__dict__.get("_invariants")
-        if cache is None:
-            if self.gens == 0:
-                cache = ()
-            else:
-                divs = intmat.snf_diagonal(self.relations)
-                cache = tuple(
-                    sorted((d for d in divs if d > 1), reverse=True)
-                )
-            self.__dict__["_invariants"] = cache
-        return cache
+        return self.level_divisors(0)[::-1]
 
     def exponent_log(self):
         inv = self.invariants()
@@ -236,19 +256,8 @@ class FiniteGammaModule:
 
     def quotient_order_log(self, a, j):
         """log_p | M / (p^a M + (sigma^(p^(n-j)) - 1) M) |."""
-        if self.gens == 0:
-            return 0
-        p, n = self.params.p, self.params.n
-        pa = p**a
-        power = self.action_power(p ** (n - j))
-        extra = [
-            [power[i][k] - (1 if i == k else 0) for k in range(self.gens)]
-            for i in range(self.gens)
-        ]
-        pa_block = [[pa if i == k else 0 for k in range(self.gens)] for i in range(self.gens)]
-        stacked = intmat.hstack(intmat.hstack(self.relations, pa_block), extra)
-        divs = intmat.snf_diagonal(stacked)
-        return sum(intmat.p_valuation(d, p) for d in divs if d)
+        p = self.params.p
+        return sum(min(a, intmat.p_valuation(d, p)) for d in self.level_divisors(j))
 
     def coinvariants_order_log(self):
         """log_p of |M / (pM + (sigma - 1)M)| — the Gamma-generator count."""
@@ -313,63 +322,38 @@ def standard_sum_invariants(params, multiset):
 def recognize_standard_sum(module):
     """Multiset {(a, j): multiplicity} if the module is a standard sum.
 
-    Measures the quotient-size grid L(a, j) = log_p |M/(p^a, s^(p^(n-j))-1)M|
-    over a = 1..n, j = 0..n.  For a standard sum the grid is the linear
-    statistic  L(a, j) = sum m_(a',j') * min(a, a') * p^(n - max(j, j')),
-    inverted here by successive differencing in a, then j.  The candidate is
-    confirmed against the total order and the full abelian invariant multiset;
-    any failure returns ``NotStandard`` (a value, not an exception).
+    The standard module (Z/p^a)[Gamma/Gamma_j'] has p^(n - max(j, j')) divisors
+    p^a at level j (``level_divisors``), so for a standard sum the number of
+    divisors p^a at level j is  E(a, j) = sum_j' m_(a,j') p^(n - max(j, j')).
+    E(a, n) is sum_j' m_(a,j'), and E(a, j) - E(a, j+1) is the partial sum
+    over j' <= j times p^(n-j) - p^(n-j-1); those partial sums give the
+    multiplicities.  Exponents above p^n are counted with a = n, and the
+    candidate is confirmed against the total order and the full abelian
+    invariant multiset, which rejects them; any failure returns
+    ``NotStandard`` (a value, not an exception).
     """
     params = module.params
     p, n = params.p, params.n
-    if module.gens == 0 or module.is_zero():
+    if module.is_zero():
         return {}
-    grid = {}
-    for a in range(1, n + 1):
-        for j in range(0, n + 1):
-            grid[(a, j)] = module.quotient_order_log(a, j)
-
-    def level_l(a, j):
-        if a == 0:
-            return 0
-        return grid[(a, j)]
-
-    # first difference in a:  D(a, j) = sum over a' >= a of m_(a',j') p^(n-max(j,j'))
-    diff_a = {}
-    for a in range(1, n + 1):
-        for j in range(0, n + 1):
-            diff_a[(a, j)] = level_l(a, j) - level_l(a - 1, j)
-    # second difference isolates a:  E(a, j) = sum over j' of m_(a,j') p^(n-max(j,j'))
-    iso = {}
-    for a in range(1, n + 1):
-        for j in range(0, n + 1):
-            upper = diff_a.get((a + 1, j), 0)
-            iso[(a, j)] = diff_a[(a, j)] - upper
-
+    vals = [
+        [min(intmat.p_valuation(d, p), n) for d in module.level_divisors(j)]
+        for j in range(n + 1)
+    ]
     multiset = {}
     for a in range(1, n + 1):
-        partial = [0] * (n + 1)  # partial[j] = sum over j' <= j of m_(a, j')
-        partial[n] = iso[(a, n)]
-        ok = True
-        for j in range(n):
-            num = iso[(a, j)] - iso[(a, j + 1)]
-            den = p ** (n - j) - p ** (n - j - 1)
-            if num % den:
-                ok = False
-                break
-            partial[j] = num // den
-        if not ok:
-            return NotStandard
+        count = [vals[j].count(a) for j in range(n + 1)]
         prev = 0
         for j in range(n + 1):
-            m = partial[j] - prev
-            if m < 0:
+            # partial = sum over j' <= j of m_(a, j')
+            partial, rem = count[n], 0
+            if j < n:
+                partial, rem = divmod(count[j] - count[j + 1], p ** (n - j) - p ** (n - j - 1))
+            if rem or partial < prev:
                 return NotStandard
-            if m:
-                multiset[(a, j)] = m
-            prev = partial[j]
-        if prev != iso[(a, n)]:
-            return NotStandard
+            if partial > prev:
+                multiset[(a, j)] = partial - prev
+            prev = partial
 
     # confirmation: total order and full invariant multiset must match
     total = sum(
@@ -393,48 +377,20 @@ def gamma_generator_indices(module):
     if cache is not None:
         return cache
     g = module.gens
-    p = module.params.p
-    if g == 0:
-        cache = []
-        module.__dict__["_gamma_gen_idx"] = cache
-        return cache
-    # relations of the coinvariant quotient: relations, p*I, (S - I)
-    cols = intmat.transpose(module.relations)
-    cols.extend([p if i == k else 0 for i in range(g)] for k in range(g))
-    act = module.action
-    cols.extend(
-        [act[i][k] - (1 if i == k else 0) for i in range(g)] for k in range(g)
-    )
-    # row-reduce over F_p with the generator columns appended one at a time
-    basis = []  # rows over F_p spanning the current subspace
-    chosen = []
-
-    def reduces_to_zero(vec):
-        v = [x % p for x in vec]
-        for brow in basis:
-            lead = next((i for i, x in enumerate(brow) if x), None)
-            if lead is not None and v[lead]:
-                f = (v[lead] * pow(brow[lead], -1, p)) % p
-                v = [(x - f * y) % p for x, y in zip(v, brow)]
-        if any(v):
-            basis.append(v)
-            return False
-        return True
-
-    for col in cols:
-        reduces_to_zero(col)
-    for k in range(g):
-        e = [1 if i == k else 0 for i in range(g)]
-        if not reduces_to_zero(e):
-            chosen.append(k)
+    # generator e_k is chosen when it is not in the F_p-span of the
+    # relations, (S - I) and the earlier generators; p*M vanishes mod p
+    moved = intmat.mat_sub(module.action, intmat.identity(g))
+    cols = intmat.hstack(intmat.hstack(module.relations, moved), intmat.identity(g))
+    chosen = [
+        c - 2 * g for c in intmat.pivot_columns_mod_p(cols, module.params.p) if c >= 2 * g
+    ]
     expected = module.coinvariants_order_log()
     if len(chosen) != expected:
         raise InvariantError(
             f"found {len(chosen)} Gamma-generators, coinvariants say {expected}"
         )
-    cache = chosen
-    module.__dict__["_gamma_gen_idx"] = cache
-    return cache
+    module.__dict__["_gamma_gen_idx"] = chosen
+    return chosen
 
 
 class GammaMap:
@@ -446,13 +402,12 @@ class GammaMap:
         self.source = source
         self.target = target
         self.matrix = [list(map(int, row)) for row in matrix]
-        if len(self.matrix) != target.gens or any(
-            len(row) != source.gens for row in self.matrix
-        ):
-            raise ValueError(
-                f"matrix must be {target.gens} x {source.gens}, got "
-                f"{len(self.matrix)} x {len(self.matrix[0]) if self.matrix else 0}"
-            )
+        widths = sorted({len(row) for row in self.matrix})
+        if len(self.matrix) != target.gens or widths not in ([], [source.gens]):
+            got = f"{len(self.matrix)} x {widths[0] if widths else 0}"
+            if len(widths) > 1:
+                got = f"{len(self.matrix)} rows of lengths {widths}"
+            raise ValueError(f"matrix must be {target.gens} x {source.gens}, got {got}")
         if not _trusted:
             self._validate()
 

@@ -215,19 +215,18 @@ def snf(a):
         for row in mat:
             row[j], row[k] = row[k], row[j]
 
-    t = 0
-    while True:
-        # find a nonzero entry in d[t:, t:] of minimal absolute value
+    def move_smallest_to_pivot(t):
+        """Swap a nonzero entry of d[t:, t:] of least absolute value (the
+        first one in row-major order) to (t, t); False if there is none."""
         best = None
         for i in range(t, m):
             di = d[i]
             for j in range(t, n):
                 x = di[j]
-                if x:
-                    if best is None or abs(x) < best[0]:
-                        best = (abs(x), i, j)
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
         if best is None:
-            break
+            return False
         _, bi, bj = best
         if bi != t:
             d[t], d[bi] = d[bi], d[t]
@@ -235,6 +234,10 @@ def snf(a):
         if bj != t:
             swap_cols(d, t, bj)
             swap_cols(v, t, bj)
+        return True
+
+    t = 0
+    while move_smallest_to_pivot(t):
         while True:
             # clear column t below the pivot
             for i in range(t + 1, m):
@@ -254,19 +257,7 @@ def snf(a):
             if not dirty:
                 break
             # a smaller remainder appeared; move it to the pivot position
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    x = d[i][j]
-                    if x and (best is None or abs(x) < best[0]):
-                        best = (abs(x), i, j)
-            _, bi, bj = best
-            if bi != t:
-                d[t], d[bi] = d[bi], d[t]
-                u[t], u[bi] = u[bi], u[t]
-            if bj != t:
-                swap_cols(d, t, bj)
-                swap_cols(v, t, bj)
+            move_smallest_to_pivot(t)
         # divisibility: pivot must divide every remaining entry
         piv = d[t][t]
         fixed = True
@@ -409,6 +400,32 @@ def det_mod(a, m):
     return det % m
 
 
+def pivot_columns_mod_p(a, p):
+    """Indices of the columns of a outside the F_p-span of the columns before them.
+
+    Gaussian elimination over F_p (p prime), one column at a time; the
+    number of indices is the rank of a mod p.
+    """
+    w = [[x % p for x in row] for row in a]
+    m, n = shape(w)
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if w[i][c]), None)
+        if piv is None:
+            continue
+        w[r], w[piv] = w[piv], w[r]
+        inv = pow(w[r][c], -1, p)
+        for i in range(r + 1, m):
+            if w[i][c]:
+                f = (w[i][c] * inv) % p
+                w[i] = [(x - f * y) % p for x, y in zip(w[i], w[r])]
+        pivots.append(c)
+    return pivots
+
+
 def p_valuation(x, p):
     if x == 0:
         raise ValueError("valuation of zero")
@@ -445,17 +462,15 @@ def hnf_p_saturated(cols, p):
 
 
 def block_diag(blocks):
-    """Block-diagonal matrix from a list of (possibly empty) square blocks."""
-    total = sum(len(b) for b in blocks)
-    out = zeros(total, total)
-    off = 0
-    for b in blocks:
-        k = len(b)
-        for i in range(k):
-            row = b[i]
-            for j in range(k):
-                out[off + i][off + j] = row[j]
-        off += k
+    """Block-diagonal matrix from a list of (possibly empty or rectangular) blocks."""
+    shapes = [shape(b) for b in blocks]
+    out = zeros(sum(r for r, _ in shapes), sum(c for _, c in shapes))
+    r0 = c0 = 0
+    for b, (r, c) in zip(blocks, shapes):
+        for i in range(r):
+            out[r0 + i][c0 : c0 + c] = b[i]
+        r0 += r
+        c0 += c
     return out
 
 

@@ -201,100 +201,77 @@ def _require_ramified_closed_form(datum):
         )
 
 
+def _library_label(p, type_pair):
+    """Library label (log_p e, log_p f - log_p e) of a place with inertia
+    order e and decomposition order f."""
+    io, do = type_pair
+    a = _p_power_log(p, io, "inertia order")
+    return (a, _p_power_log(p, do, "decomposition order") - a)
+
+
+def _anchored_level(datum, j, blocks):
+    """Level j from the standard-module block of each ramified place.
+
+    A distinguished generator, fixed by the group action, is prepended and
+    annihilated by max(p^j, core) / core, for the core order of
+    ``_core_order``; each block relation also feeds -max(p^j, core) /
+    max(min(p^j, f), core) into it, where f is the place's decomposition
+    order.
+    """
+    params = datum.params
+    sub = params.p**j
+    core = _core_order(datum)
+    relations = intmat.block_diag([[[max(sub, core) // core]]] + [b.relations for b in blocks])
+    action = intmat.block_diag([[[1]]] + [b.action for b in blocks])
+    offset = 1
+    for place, block in zip(datum.ramified, blocks):
+        feed = max(sub, core) // max(min(sub, place.decomposition_order), core)
+        relations[0][offset : offset + block.gens] = [-feed] * block.gens
+        offset += block.gens
+    return FiniteGammaModule(params, len(action), relations, action)
+
+
 def wj_presentation(datum, j):
     """Presentation of the ladder level attached to the subgroup of order p^j.
 
-    One distinguished generator is fixed by the group action and annihilated
-    by a power determined by the subgroup order against the core order; each
-    ramified place contributes an orbit block whose generators are cyclically
-    permuted, with each block generator's torsion relation feeding back into
-    the distinguished generator.  j = 0 gives the zero module.
+    Each ramified place contributes level j of its library summand: label
+    (a, b) = (log_p e, log_p f - log_p e), a standard module whose generators
+    are cyclically permuted (``diagrams.library_level_type``).  One more
+    generator is fixed by the group action and annihilated by a power
+    determined by the subgroup order against the core order, and each block
+    generator's torsion relation feeds back into it (``_anchored_level``).
+    j = 0 gives the zero module.
     """
     _require_ramified_closed_form(datum)
     params = datum.params
-    p, n = params.p, params.n
-    if not 0 <= j <= n:
-        raise ValueError(f"level index {j} outside 0..{n}")
+    if not 0 <= j <= params.n:
+        raise ValueError(f"level index {j} outside 0..{params.n}")
     if j == 0:
         return FiniteGammaModule.zero(params)
-    q = p**n
-    sub = p**j
-    core = _core_order(datum)
-    anchor_order = max(sub, core) // core
-    blocks = []
-    gens = 1
-    for place in datum.ramified:
-        size = q // max(place.decomposition_order, sub)
-        torsion = min(sub, place.inertia_order)
-        feed = max(sub, core) // max(min(sub, place.decomposition_order), core)
-        blocks.append((gens, size, torsion, feed))
-        gens += size
-    action = intmat.zeros(gens, gens)
-    action[0][0] = 1
-    relations = []
-    col = [0] * gens
-    col[0] = anchor_order
-    relations.append(col)
-    for offset, size, torsion, feed in blocks:
-        for t in range(size):
-            action[offset + (t + 1) % size][offset + t] = 1
-            col = [0] * gens
-            col[offset + t] = torsion
-            col[0] = -feed
-            relations.append(col)
-    rel_mat = [[relations[c][r] for c in range(len(relations))] for r in range(gens)]
-    return FiniteGammaModule(params, gens, rel_mat, action)
-
-
-def _rung_maps(datum, i, lower, upper):
-    """Down and up maps between consecutive levels i and i+1.
-
-    The condition on each orbit block is whether the upper subgroup sits
-    inside the place's decomposition group: if so the block sizes agree and
-    the maps are the identity (down) and multiplication by p (up); if not,
-    the down map spreads each generator over its fibre and the up map
-    projects fibres back down.
-    """
-    params = datum.params
-    p, n = params.p, params.n
-    q = p**n
-    sub_low = p**i
-    sub_high = p ** (i + 1)
-    down = intmat.zeros(lower.gens, upper.gens)
-    up = intmat.zeros(upper.gens, lower.gens)
-    down[0][0] = 1
-    up[0][0] = p
-    off_low = off_high = 1
-    for place in datum.ramified:
-        do = place.decomposition_order
-        size_low = q // max(do, sub_low)
-        size_high = q // max(do, sub_high)
-        if sub_high <= do:
-            for t in range(size_high):
-                down[off_low + t][off_high + t] = 1
-                up[off_high + t][off_low + t] = p
-        else:
-            for t in range(size_low):
-                down[off_low + t][off_high + t % size_high] = 1
-                up[off_high + t % size_high][off_low + t] = 1
-        off_low += size_low
-        off_high += size_high
-    # checked once, with the ladder identities, in predict_diagram
-    return (
-        GammaMap(upper, lower, down, _trusted=True),
-        GammaMap(lower, upper, up, _trusted=True),
-    )
+    blocks = [
+        FiniteGammaModule.standard(
+            params,
+            *diagrams.library_level_type(*_library_label(params.p, place.type_pair()), j),
+        )
+        for place in datum.ramified
+    ]
+    return _anchored_level(datum, j, blocks)
 
 
 def predict_diagram(datum):
     """Predicted ladder diagram for the upstairs unit lattice.
 
-    Ramified Hilbert-cyclic data get the explicit level presentations with
-    their spreading/projection rung maps; unramified data with a completely
-    split auxiliary set reduce to the library diagram of the norm-kernel
-    lattice (levels Z/p^i with natural projections and multiplication by p).
+    Ramified Hilbert-cyclic data get the explicit level presentations; each
+    place's block, and its rung maps (identity down and p up while the upper
+    subgroup lies in the decomposition group, spreading down and projecting
+    up beyond it), come from the place's library summand diagram, and the
+    distinguished generator maps by 1 down and p up.  Unramified data with
+    a completely split auxiliary set reduce to the library diagram of the
+    norm-kernel lattice (levels Z/p^i with natural projections and
+    multiplication by p).
     """
     params = datum.params
+    p, n = params.p, params.n
     if datum.regime != HILBERT_CYCLIC:
         raise UnsupportedRegimeError(
             "diagram prediction is only available in the Hilbert-cyclic regime"
@@ -304,13 +281,21 @@ def predict_diagram(datum):
             raise UnsupportedRegimeError(
                 "unramified data need a completely split auxiliary set"
             )
-        return diagrams.library_diagram(params, {(params.n, 0): 1})
-    levels = [wj_presentation(datum, j) for j in range(1, params.n + 1)]
+        return diagrams.library_diagram(params, {(n, 0): 1})
+    summands = [
+        diagrams._library_summand_diagram(params, *_library_label(p, place.type_pair()))
+        for place in datum.ramified
+    ]
+    levels = [
+        _anchored_level(datum, j, [s.level(j) for s in summands]) for j in range(1, n + 1)
+    ]
     ups, downs = [], []
-    for i in range(1, params.n):
-        down, up = _rung_maps(datum, i, levels[i - 1], levels[i])
-        downs.append(down)
-        ups.append(up)
+    for i in range(1, n):
+        # checked once, with the ladder identities, below
+        down = intmat.block_diag([[[1]]] + [s.down(i).matrix for s in summands])
+        up = intmat.block_diag([[[p]]] + [s.up(i).matrix for s in summands])
+        downs.append(GammaMap(levels[i], levels[i - 1], down, _trusted=True))
+        ups.append(GammaMap(levels[i - 1], levels[i], up, _trusted=True))
     diagram = diagrams.YakovlevDiagram(params, levels, ups, downs)
     diagrams._check_diagram(diagram)
     return diagram
@@ -353,11 +338,9 @@ def guaranteed_summands(datum):
     p = datum.params.p
     n = datum.params.n
     stats = upsilon_stats(datum)
-    summands = {}
-    for io, do in stats.heavy_types:
-        a = _p_power_log(p, io, "inertia order")
-        ab = _p_power_log(p, do, "decomposition order")
-        summands[(a, ab - a)] = stats.type_counts[(io, do)] - 2
+    summands = {
+        _library_label(p, pair): stats.type_counts[pair] - 2 for pair in stats.heavy_types
+    }
     pair_count = (n + 1) * (n + 2) // 2
     return GuaranteedSummands(summands, pair_count, 1 + 2 * pair_count)
 

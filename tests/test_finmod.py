@@ -402,3 +402,126 @@ class TestGammaMap:
         assert comp.is_zero_map()
         assert len(comp.matrix) == m.gens
         assert all(len(row) == m.gens for row in comp.matrix)
+
+
+def _direct_quotient_order_log(module, a, j):
+    """log_p |M / (p^a M + (s_j - 1) M)| from one Smith form of the stacked
+    relations [R | p^a I | S_j - I], independent of ``level_divisors``."""
+    p, n, g = module.params.p, module.params.n, module.gens
+    if g == 0:
+        return 0
+    moved = intmat.mat_sub(module.action_power(p ** (n - j)), intmat.identity(g))
+    stacked = intmat.hstack(
+        intmat.hstack(module.relations, intmat.mat_scale(p**a, intmat.identity(g))), moved
+    )
+    return sum(intmat.p_valuation(d, p) for d in intmat.snf_diagonal(stacked))
+
+
+class TestLevelDivisors:
+    def _modules(self):
+        pr = GroupParams(3, 2)
+        yield standard_sum(pr, {(1, 0): 1, (2, 1): 1, (1, 2): 2})
+        yield scramble(standard_sum(pr, {(2, 1): 1, (1, 1): 1}), 7)
+        # not standard: Z/9 with sigma = 4 (order 3 mod 9)
+        yield FiniteGammaModule(pr, 1, [[9]], [[4]])
+        # F_3[x]/(x - 1)^2, a Jordan block
+        yield FiniteGammaModule(pr, 2, [[3, 0], [0, 3]], [[1, 1], [0, 1]])
+        # exponent 3^3 above p^n
+        yield FiniteGammaModule.from_invariant_relations(pr, [27, 3], [[1, 0], [0, 1]])
+        yield FiniteGammaModule.zero(pr)
+
+    def test_quotient_orders_match_the_stacked_smith_form(self):
+        for m in self._modules():
+            n = m.params.n
+            for j in range(n + 1):
+                for a in range(n + 2):
+                    assert m.quotient_order_log(a, j) == _direct_quotient_order_log(m, a, j)
+
+    def test_level_zero_is_the_abelian_invariants(self):
+        for m in self._modules():
+            assert m.level_divisors(0) == tuple(sorted(m.invariants()))
+            assert sum(
+                intmat.p_valuation(d, 3) for d in m.level_divisors(0)
+            ) == m.order_log()
+
+    def test_standard_module_counts(self):
+        # (Z/p^a)[Gamma/Gamma_j'] has p^(n - max(j, j')) divisors p^a at level j
+        pr = GroupParams(3, 3)
+        for a, jp in all_labels(pr):
+            m = FiniteGammaModule.standard(pr, a, jp)
+            for j in range(pr.n + 1):
+                assert m.level_divisors(j) == (3**a,) * 3 ** (pr.n - max(j, jp))
+
+    def test_rejects_level_outside_range(self):
+        m = FiniteGammaModule.standard(GroupParams(3, 2), 1, 1)
+        with pytest.raises(ValueError):
+            m.level_divisors(3)
+        with pytest.raises(ValueError):
+            m.quotient_order_log(1, -1)
+
+    def test_at_most_one_smith_diagonal_per_level(self, monkeypatch):
+        calls = []
+        original = intmat.snf_diagonal
+
+        def counting(a):
+            calls.append(intmat.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(intmat, "snf_diagonal", counting)
+        pr = GroupParams(3, 2)
+        m = scramble(standard_sum(pr, {(1, 0): 1, (2, 1): 1, (1, 2): 1}), 3)
+        n = pr.n
+        m.invariants()
+        m.exponent_log()
+        for a in range(n + 2):
+            for j in range(n + 1):
+                m.quotient_order_log(a, j)
+        m.coinvariants_order_log()
+        assert recognize_standard_sum(m) == {(1, 0): 1, (2, 1): 1, (1, 2): 1}
+        gamma_generator_indices(m)
+        assert len(calls) <= n + 1
+
+
+class TestExponentAboveGroupOrder:
+    """Modules killed by no p^a with a <= n: recognition counts every
+    divisor p^a with a >= n at a = n, and the confirmation rejects them."""
+
+    def test_induced_module_with_large_coefficients(self):
+        # (Z/9)[Gamma] at n = 1: three copies of Z/9 permuted cyclically
+        pr = GroupParams(3, 1)
+        shift = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+        m = FiniteGammaModule.from_invariant_relations(pr, [9, 9, 9], shift)
+        assert m.exponent_log() == 2
+        assert m.invariants() == (9, 9, 9)
+        assert [m.quotient_order_log(1, j) for j in range(2)] == [3, 1]
+        assert [m.quotient_order_log(2, j) for j in range(2)] == [6, 2]
+        assert recognize_standard_sum(m) is NotStandard
+
+    def test_standard_summand_plus_large_cyclic(self):
+        # F_3 (label (1, 2)) plus Z/27 with trivial action, at n = 2
+        pr = GroupParams(3, 2)
+        m = FiniteGammaModule.from_invariant_relations(pr, [3, 27], [[1, 0], [0, 1]])
+        for j in range(pr.n + 1):
+            assert m.quotient_order_log(pr.n, j) == 1 + 2
+            assert m.quotient_order_log(pr.n + 1, j) == 1 + 3
+        assert recognize_standard_sum(m) is NotStandard
+
+    def test_exponent_exactly_p_to_the_n_is_recognized(self):
+        pr = GroupParams(3, 2)
+        m = FiniteGammaModule.from_invariant_relations(pr, [3, 9], [[1, 0], [0, 1]])
+        assert [m.quotient_order_log(pr.n, j) for j in range(3)] == [3, 3, 3]
+        assert recognize_standard_sum(m) == {(1, 2): 1, (2, 2): 1}
+
+
+class TestShapeErrors:
+    def test_ragged_relations_raise_value_error(self):
+        pr = GroupParams(3, 2)
+        with pytest.raises(ValueError, match="same length"):
+            FiniteGammaModule(pr, 2, [[3, 0], [0]], intmat.identity(2))
+
+    def test_ragged_map_matrix_reports_its_row_lengths(self):
+        m = FiniteGammaModule.standard(GroupParams(3, 1), 1, 0)
+        with pytest.raises(ValueError, match=r"got 3 rows of lengths \[2, 3\]"):
+            GammaMap(m, m, [[1, 0, 0], [0, 1], [0, 0, 1]])
+        with pytest.raises(ValueError, match="got 2 x 3"):
+            GammaMap(m, m, [[1, 0, 0], [0, 1, 0]])

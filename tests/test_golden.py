@@ -1,7 +1,9 @@
 """Golden CLI outputs: stdout and exit code must stay identical across refactors.
 
 Each case is an argv for ``cyclat``, the file under ``tests/golden`` holding
-its recorded stdout, and its recorded exit code in ``exit_codes.json``.  To
+its recorded stdout, and its recorded exit code in ``exit_codes.json``.
+``diagram`` runs every library label and every permutation lattice
+Z[Γ/Γ_i] at each (p, n) listed below.  To
 re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 
@@ -31,6 +33,9 @@ def _diagram_cases():
                 argv = ["diagram", "--p", str(p), "--n", str(n), "--kind", "mab",
                         "--a", str(a), "--b", str(b)]
                 yield f"diagram_p{p}_n{n}_a{a}_b{b}.txt", argv
+        for i in range(n + 1):
+            argv = ["diagram", "--p", str(p), "--n", str(n), "--kind", "perm", "--i", str(i)]
+            yield f"diagram_p{p}_n{n}_perm_i{i}.txt", argv
 
 
 def _predict_cases():

@@ -1,5 +1,6 @@
 """Exact integer linear algebra, cross-checked against sympy normal forms."""
 
+import itertools
 import random
 
 import pytest
@@ -225,6 +226,9 @@ class TestHelpers:
     def test_block_and_stack_shapes(self):
         b = intmat.block_diag([[[1]], [[2, 0], [0, 2]]])
         assert b == [[1, 0, 0], [0, 2, 0], [0, 0, 2]]
+        # rectangular and empty blocks
+        r = intmat.block_diag([[[5]], [], [[1, 1, 0], [0, 1, 1]]])
+        assert r == [[5, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
         assert intmat.hstack([[1], [2]], [[3], [4]]) == [[1, 3], [2, 4]]
         assert intmat.vstack([[1, 2]], [[3, 4]]) == [[1, 2], [3, 4]]
 
@@ -299,3 +303,35 @@ class TestMatMul:
             for k in range(9):
                 assert intmat.mat_pow(a, k) == acc
                 acc = naive_mul(acc, a)
+
+
+class TestPivotColumnsModP:
+    @staticmethod
+    def in_span_mod_p(cols, v, p):
+        """Brute force: v is an F_p-combination of cols."""
+        for coeffs in itertools.product(range(p), repeat=len(cols)):
+            if all(
+                (sum(c * col[i] for c, col in zip(coeffs, cols)) - v[i]) % p == 0
+                for i in range(len(v))
+            ):
+                return True
+        return False
+
+    def test_matches_brute_force_span_membership(self):
+        rng = random.Random(11)
+        for p in (2, 3, 5):
+            for rows, cols in [(1, 4), (2, 4), (3, 5), (4, 3), (3, 3)]:
+                for _ in range(6):
+                    a = random_matrix(rng, rows, cols, -6, 6)
+                    columns = [list(c) for c in zip(*a)]
+                    want = [
+                        c for c in range(cols)
+                        if not self.in_span_mod_p(columns[:c], columns[c], p)
+                    ]
+                    assert intmat.pivot_columns_mod_p(a, p) == want
+
+    def test_empty_and_zero_mod_p(self):
+        assert intmat.pivot_columns_mod_p([], 3) == []
+        assert intmat.pivot_columns_mod_p([[], []], 3) == []
+        assert intmat.pivot_columns_mod_p([[3, 6], [9, 0]], 3) == []
+        assert intmat.pivot_columns_mod_p(intmat.identity(3), 5) == [0, 1, 2]
