@@ -1,7 +1,7 @@
 """Ladder diagrams of level modules linked by up and down maps.
 
 A diagram holds one finite module per level i = 1..n (the level-i module is
-p^i-torsion and the subgroup of index p^i acts trivially on it) together
+p^i-torsion and the subgroup of order p^i acts trivially on it) together
 with an up map A_i -> A_(i+1) and a down map A_(i+1) -> A_i for each rung.
 The two composites are constrained exactly: up after down is multiplication
 by p on the upper level, and down after up is the relative-norm operator
@@ -122,7 +122,7 @@ def _check_diagram(diagram):
             )
         moved = intmat.mat_sub(mod.action_power(p ** (n - i)), intmat.identity(mod.gens))
         if not mod.is_zero_mat(moved):
-            raise DiagramError(f"index-p^{i} subgroup does not act trivially on level {i}")
+            raise DiagramError(f"order-p^{i} subgroup does not act trivially on level {i}")
     for i in range(1, n):
         up, down = diagram.up(i), diagram.down(i)
         try:
@@ -156,7 +156,7 @@ def validate_diagram(diagram):
 
     Checks, as exact congruences modulo each level's relations: levels share the
     diagram's group parameters, level i is annihilated by p^i and fixed by the
-    index-p^i subgroup, the rung maps are module maps, and both composites
+    order-p^i subgroup, the rung maps are module maps, and both composites
     (up after down = multiplication by p; down after up = the relative-norm
     operator) hold on every rung.  Never raises on a malformed diagram.
     """
@@ -349,13 +349,14 @@ def _word_matrices(source, target, q):
         [source.relations[r][c] for r in range(g)] for c in range(g)
     ]
     aug = intmat.transpose(orbit_cols + rel_cols)
+    # one Hermite form of aug for all generators; a word only needs the
+    # orbit coordinates, the first s * order entries of a solution
+    w, coords = intmat.hnf_coordinates(aug, intmat.identity(g))
     words = {}
-    for l in range(g):
-        e = [1 if r == l else 0 for r in range(g)]
-        coeff = intmat.express_in_colspan(aug, e)
+    for l, coeff in enumerate(coords):
         if coeff is None:
             raise DiagramError("generator not reached by the Gamma-orbit span")
-        words[l] = coeff[: s * order]
+        words[l] = [sum(q * w[r][j] for j, q in coeff) for r in range(s * order)]
     pmats = {}
     for l in range(g):
         for j in range(s):

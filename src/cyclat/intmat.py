@@ -341,38 +341,53 @@ def solve_exact(a, b):
     return x
 
 
+def hnf_coordinates(a, bs):
+    """Reduce every column b in ``bs`` against one column Hermite form of a.
+
+    Returns (W, coords) with a @ W == H for the column HNF H of ``a``.
+    ``coords[k]`` lists the pairs (j, q), q != 0, with bs[k] == sum q . H[:, j],
+    so x = sum q . W[:, j] solves a @ x == bs[k]; it is None when bs[k] is
+    outside the column span.  ``a`` may be rank deficient; with no columns
+    (or no rows) W is empty and only zero right-hand sides are reachable.
+    """
+    m, n = shape(a)
+    if n == 0:
+        return [], [None if any(b) else [] for b in bs]
+    h, w = col_hnf(a)  # a @ w = h
+    # echelon pivot columns in order: (column, pivot row, pivot, column below it)
+    pivots = []
+    for j in range(n):
+        i = next((r for r in range(m) if h[r][j]), None)
+        if i is not None:
+            pivots.append((j, i, h[i][j], [h[k][j] for k in range(i, m)]))
+    coords = []
+    for b in bs:
+        res = b[:]
+        coeff = []
+        for j, i, piv, col in pivots:
+            q, r = divmod(res[i], piv)
+            if r:
+                # pivot does not divide: b may still be reachable only if later
+                # columns fix it, but echelon pivot rows are increasing, so no.
+                coeff = None
+                break
+            if q:
+                coeff.append((j, q))
+                for k, x in enumerate(col, i):
+                    res[k] -= q * x
+        coords.append(None if coeff is None or any(res) else coeff)
+    return w, coords
+
+
 def express_in_colspan(a, b):
     """One integer solution x of a @ x = b, or None if b is outside the span.
 
     ``a`` may be rank deficient; ``b`` is a single column (list).
     """
-    m, n = shape(a)
-    if n == 0:
-        return [] if all(v == 0 for v in b) else None
-    h, w = col_hnf(a)  # a @ w = h
-    # reduce b against the echelon columns of h
-    coeff = [0] * n
-    res = b[:]
-    col_pivot_row = []
-    for j in range(n):
-        i = next((r for r in range(m) if h[r][j]), None)
-        col_pivot_row.append(i)
-    for j in range(n):
-        i = col_pivot_row[j]
-        if i is None:
-            continue
-        q, r = divmod(res[i], h[i][j])
-        if r:
-            # pivot does not divide: b may still be reachable only if later
-            # columns fix it, but echelon pivot rows are increasing, so no.
-            return None
-        if q:
-            coeff[j] = q
-            for k in range(m):
-                res[k] -= q * h[k][j]
-    if any(res):
+    w, (coeff,) = hnf_coordinates(a, [b])
+    if coeff is None:
         return None
-    return mat_vec(w, coeff)
+    return [sum(q * row[j] for j, q in coeff) for row in w]
 
 
 def in_colspan(a, b):
@@ -441,17 +456,43 @@ def p_part(x, p):
     return p ** p_valuation(x, p)
 
 
+def _is_p_saturated_hnf(a, p):
+    """Whether a already is the column HNF of a lattice of p-power index.
+
+    True for square lower-triangular a with a p-power diagonal d_i > 0 and
+    each row's entries left of the diagonal in [0, d_i): that is the unique
+    column HNF of its span, and the index (the diagonal product) is a power
+    of p, so the span is its own p-saturation.
+    """
+    n = len(a)
+    for i, row in enumerate(a):
+        if len(row) != n or any(row[i + 1 :]):
+            return False
+        d = row[i]
+        if d <= 0 or any(not 0 <= x < d for x in row[:i]):
+            return False
+        while d % p == 0:
+            d //= p
+        if d != 1:
+            return False
+    return True
+
+
 def hnf_p_saturated(cols, p):
     """Column HNF of the prime-to-p saturation of the integer column span.
 
     The returned basis spans the smallest integer lattice containing the
     input span with quotient of p-power order; equivalently, the input span
     after localization at p, with each elementary divisor replaced by its
-    p-part.  Zero columns are dropped.
+    p-part.  Zero columns are dropped.  An input that already is that
+    basis (diagonal standard relations, their sums) is returned as a copy
+    without any normal form.
     """
     m, n = shape(cols)
     if n == 0 or m == 0:
         return [[] for _ in range(m)]
+    if _is_p_saturated_hnf(cols, p):
+        return copy_mat(cols)
     d, u, v = snf(cols)
     uinv = unimodular_inverse(u)
     r = sum(1 for i in range(min(m, n)) if d[i][i])

@@ -164,7 +164,7 @@ def character_ranks(datum):
     """Predicted fixed-point free ranks rk_0..rk_n of the upstairs units.
 
     rk_j = (r1 + r2) p^{n-j} + sum_i s_i p^{n-max(i,j)} - 1: each base place
-    contributes the orbit count of the index-p^j subgroup acting on the
+    contributes the orbit count of the order-p^j subgroup acting on the
     places above it, and one global relation is subtracted.
     """
     p, n = datum.params.p, datum.params.n

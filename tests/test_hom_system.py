@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from cyclat import intmat
 from cyclat.cohomology import yakovlev_diagram
 from cyclat.diagrams import (
     YakovlevDiagram,
@@ -17,6 +18,7 @@ from cyclat.diagrams import (
     _candidate_maps,
     _library_labels,
     _minimized_diagram,
+    _word_matrices,
     library_diagram,
 )
 from cyclat.finmod import FiniteGammaModule, GammaMap
@@ -120,3 +122,25 @@ def test_every_parametrized_tuple_is_a_diagram_hom(name):
     for _ in range(5):
         coeffs = [rng.randrange(system.q // t) for t in system.pivots]
         _check_diagram_hom(_candidate_maps(system, coeffs, md1, md2), md1, md2)
+
+
+def test_one_hermite_form_per_level_for_the_generator_words(monkeypatch):
+    calls = []
+    original = intmat.col_hnf
+
+    def counting(a):
+        calls.append(intmat.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(intmat, "col_hnf", counting)
+    widest = 0
+    for name in sorted(PAIRS):
+        md1, md2 = (_minimized_diagram(d) for d in PAIRS[name])
+        q = md1.params.p ** md1.params.n
+        for src, tgt in zip(md1.levels, md2.levels):
+            calls.clear()
+            _word_matrices(src, tgt, q)
+            assert len(calls) == (1 if src.gens else 0), name
+            widest = max(widest, src.gens)
+    # levels with several generators are where a per-generator form would show
+    assert widest >= 3

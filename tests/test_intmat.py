@@ -173,6 +173,68 @@ class TestExpressInColspan:
         assert intmat.in_colspan(a, [2, -4])
 
 
+def in_span_by_smith(a, b):
+    """Integer column-span membership from the Smith form: U a V = D."""
+    d, u, _ = intmat.snf(a)
+    ub = [sum(x * y for x, y in zip(row, b)) for row in u]
+    for i, y in enumerate(ub):
+        piv = d[i][i] if i < len(d[0]) else 0
+        if (piv == 0 and y) or (piv and y % piv):
+            return False
+    return True
+
+
+class TestHnfCoordinates:
+    """The many-column reduction against one Hermite form, per column."""
+
+    @staticmethod
+    def solutions(a, bs):
+        w, coords = intmat.hnf_coordinates(a, bs)
+        return [
+            None if c is None else [sum(q * row[j] for j, q in c) for row in w]
+            for c in coords
+        ]
+
+    def test_agrees_with_single_column_solve(self):
+        rng = random.Random(53)
+        for trial in range(40):
+            rows, cols = SHAPES[trial % len(SHAPES)]
+            a = random_matrix(rng, rows, cols, lo=-4, hi=4)
+            if trial % 3 == 0 and cols >= 2:
+                # rank deficient: the last column is a combination of two others
+                for row in a:
+                    row[-1] = 2 * row[0] - row[-2]
+                assert sympy.Matrix(a).rank() < cols
+            bs = [[0] * rows]  # zero right-hand side
+            bs += [intmat.mat_vec(a, [rng.randint(-3, 3) for _ in range(cols)]) for _ in range(3)]
+            bs += [[rng.randint(-5, 5) for _ in range(rows)] for _ in range(3)]
+            many = self.solutions(a, bs)
+            assert many == [intmat.express_in_colspan(a, b) for b in bs]
+            for b, x in zip(bs, many):
+                assert (x is not None) == in_span_by_smith(a, b)
+                if x is not None:
+                    assert intmat.mat_vec(a, x) == b
+            assert many[0] == [0] * cols
+
+    def test_unreachable_columns_give_none(self):
+        a = [[2, 4], [0, 6], [0, 0]]
+        w, coords = intmat.hnf_coordinates(a, [[1, 0, 0], [0, 0, 1], [2, 6, 0], [0, 0, 0]])
+        assert coords[0] is None  # pivot 2 does not divide 1
+        assert coords[1] is None  # residue left in a zero row
+        assert coords[2] is not None and coords[3] == []
+
+    def test_zero_column_matrix(self):
+        for a in ([], [[], []]):
+            w, coords = intmat.hnf_coordinates(a, [[0, 0], [0, 1]])
+            assert w == [] and coords == [[], None]
+            assert intmat.express_in_colspan(a, [0, 0]) == []
+            assert intmat.express_in_colspan(a, [1, 0]) is None
+
+    def test_no_right_hand_sides(self):
+        w, coords = intmat.hnf_coordinates([[1, 2], [3, 4]], [])
+        assert coords == []
+
+
 class TestPSaturatedForm:
     def test_unit_factor_is_stripped(self):
         # columns (2,0) and (0,3): the prime-to-3 factor 2 is invertible
@@ -213,6 +275,90 @@ class TestPSaturatedForm:
             for j in range(ncols_b):
                 col = [away_from_p * b[i][j] for i in range(3)]
                 assert intmat.in_colspan(a, col)
+
+
+    @staticmethod
+    def full_path(cols, p, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(intmat, "_is_p_saturated_hnf", lambda a, q: False)
+            return intmat.hnf_p_saturated(cols, p)
+
+    @staticmethod
+    def saturated_hnf(rng, size, p):
+        """Lower-triangular p-power diagonal, entries left of it in [0, d_i)."""
+        a = intmat.zeros(size, size)
+        for i in range(size):
+            a[i][i] = p ** rng.randrange(0, 4)
+            for k in range(i):
+                a[i][k] = rng.randrange(a[i][i])
+        return a
+
+    def test_shortcut_input_is_returned_unchanged(self, monkeypatch):
+        rng = random.Random(59)
+        for trial in range(30):
+            p = (3, 5)[trial % 2]
+            a = self.saturated_hnf(rng, rng.randrange(1, 6), p)
+            assert intmat._is_p_saturated_hnf(a, p)
+            out = intmat.hnf_p_saturated(a, p)
+            assert out == a and out is not a
+            assert out == self.full_path(a, p, monkeypatch)
+
+    def test_each_broken_condition_takes_the_full_path(self, monkeypatch):
+        rng = random.Random(61)
+        p = 3
+
+        def non_p_power_diagonal(a):
+            a[-1][-1] *= 2
+
+        def negative_left_entry(a):
+            a[-1][0] = -1
+
+        def unreduced_left_entry(a):
+            a[-1][0] = a[-1][-1] + 1
+
+        def nonzero_above_diagonal(a):
+            a[0][-1] = 1
+
+        def negative_diagonal(a):
+            a[-1][-1] = -a[-1][-1]
+
+        def non_square(a):
+            for row in a:
+                row.append(0 if rng.randrange(2) else p)
+
+        breaks = (
+            non_p_power_diagonal,
+            negative_left_entry,
+            unreduced_left_entry,
+            nonzero_above_diagonal,
+            negative_diagonal,
+            non_square,
+        )
+        for trial in range(36):
+            a = self.saturated_hnf(rng, rng.randrange(2, 6), p)
+            breaks[trial % len(breaks)](a)
+            assert not intmat._is_p_saturated_hnf(a, p)
+            assert intmat.hnf_p_saturated(a, p) == self.full_path(a, p, monkeypatch)
+
+    def test_standard_modules_and_sums_need_no_smith_form(self, monkeypatch):
+        from cyclat.finmod import FiniteGammaModule, standard_sum
+        from cyclat.groupring import GroupParams
+
+        calls = []
+        original = intmat.snf
+
+        def counting(a):
+            calls.append(intmat.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(intmat, "snf", counting)
+        for p, n in ((3, 2), (3, 3), (5, 2)):
+            params = GroupParams(p, n)
+            for a in range(1, n + 1):
+                for j in range(n + 1):
+                    FiniteGammaModule.standard(params, a, j)
+            standard_sum(params, {(1, 0): 1, (n, 1): 2, (1, n): 1})
+        assert calls == []
 
 
 class TestHelpers:
