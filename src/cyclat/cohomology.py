@@ -27,8 +27,11 @@ def _h1_data(lattice, j):
 
     ``kernel_basis`` has the basis of ker(Norm_j) as columns (None when the
     kernel is trivial); the module presents that kernel modulo the image of
-    s_j - 1 with the induced sigma action.  The module is validated once, on
-    its invariant-factor form, whose p-power diagonal relations keep the
+    s_j - 1 with the induced sigma action.  The group order p^j kills the
+    level-j group, so the relations contain p^j . Z^k and are their own
+    p-saturation: their Hermite form is taken modulo p^j, and the module
+    constructor finds it already saturated.  The module is validated once,
+    on its invariant-factor form, whose p-power diagonal relations keep the
     check small; the raw presentation itself is built trusted.
     """
     params = lattice.params
@@ -46,6 +49,7 @@ def _h1_data(lattice, j):
         cache[j] = (FiniteGammaModule.zero(params), None)
         return cache[j]
     relations = intmat.solve_exact(basis, lattice.moved_matrix(j))
+    relations = intmat.hnf_mod_prime_power(relations, params.p, j)
     action = intmat.solve_exact(basis, intmat.mat_mul(lattice.action, basis))
     module = FiniteGammaModule(params, k, relations, action, _trusted=True)
     module.minimized()[0]._validate()
@@ -59,7 +63,11 @@ def tate_h1(lattice, j):
 
 
 def tate_h0(lattice, j):
-    """Fixed points of the order-p^j subgroup modulo its norm image."""
+    """Fixed points of the order-p^j subgroup modulo its norm image.
+
+    Like the degree -1 group, it is killed by p^j, so its relations are
+    reduced to Hermite form modulo p^j; the module is still validated.
+    """
     params = lattice.params
     params.check_level(j)
     if j == 0 or lattice.rank == 0:
@@ -69,6 +77,7 @@ def tate_h0(lattice, j):
     if f == 0:
         return FiniteGammaModule.zero(params)
     relations = intmat.solve_exact(fixed, lattice.norm_matrix(j))
+    relations = intmat.hnf_mod_prime_power(relations, params.p, j)
     action = intmat.solve_exact(fixed, intmat.mat_mul(lattice.action, fixed))
     return FiniteGammaModule(params, f, relations, action)
 

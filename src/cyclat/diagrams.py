@@ -435,6 +435,7 @@ def _build_hom_system(md1, md2):
     That lattice is fixed by the set of constraints, not by how its rows are
     written, and ``basis`` is its column Hermite form, which is unique; so
     negating or reordering rows leaves ``basis`` and ``pivots`` unchanged.
+    The lattice contains q . Z^total, so that form is taken modulo q.
     """
     params = md1.params
     q = params.p**params.n
@@ -477,8 +478,7 @@ def _build_hom_system(md1, md2):
         qblock = [[q if i == k else 0 for k in range(len(h))] for i in range(len(h))]
         ker = intmat.kernel(intmat.hstack(h, qblock))
         proj = ker[:total] if ker and ker[0] else [[] for _ in range(total)]
-        qfull = intmat.mat_scale(q, intmat.identity(total))
-        lattice = intmat.hnf_cols(intmat.hstack(proj, qfull))
+        lattice = intmat.hnf_mod_prime_power(proj, params.p, params.n)
     system.basis = lattice
     system.pivots = [lattice[i][i] for i in range(total)]
     return system

@@ -14,6 +14,8 @@ Conventions:
     (pivot rows strictly increasing column by column, zero columns last).
   * ``snf(A) -> (D, U, V)`` with ``U @ A @ V == D`` diagonal,
     ``d_1 | d_2 | ...``, all transforms unimodular.
+  * ``hnf_mod_prime_power(A, p, e) -> H``, no transform: the column HNF of
+    span(A) + p^e . Z^m in the shape of ``hnf_cols``, computed modulo p^e.
 
 Empty matrices are handled by the callers (which know their shapes);
 helpers here assume non-degenerate input unless noted.
@@ -390,10 +392,6 @@ def express_in_colspan(a, b):
     return [sum(q * row[j] for j, q in coeff) for row in w]
 
 
-def in_colspan(a, b):
-    return express_in_colspan(a, b) is not None
-
-
 def det_mod(a, m):
     """Determinant of a modulo a prime m (Gaussian elimination over F_m)."""
     n = len(a)
@@ -478,6 +476,73 @@ def _is_p_saturated_hnf(a, p):
     return True
 
 
+def hnf_mod_prime_power(cols, p, e):
+    """Column HNF of span(cols) + p^e . Z^m, by elimination modulo p^e.
+
+    The result follows :func:`hnf_cols`: square lower triangular, diagonal
+    d_i a power of p dividing p^e, entries left of each d_i in [0, d_i).
+    No transform is formed.  Z/p^e is a chain ring, so there is no gcd
+    loop: each column pivots on a generator of least p-valuation v, scaled
+    by the inverse of its unit part, and one multiple of it clears every
+    other generator; the pivot times p^(e-v), whose entry in that column
+    vanishes mod p^e, joins the generators of the later columns.  A column
+    left without generators gets the pivot p^e ("HNF modulo D":
+    Domich-Kannan-Trotter 1987; Cohen, GTM 138, Alg. 2.4.8).
+    """
+    m = len(cols)
+    q = p**e
+    gens = [g for g in ([x % q for x in col] for col in zip(*cols)) if any(g)]
+    rows = []
+    for c in range(m):
+        best = None
+        for g in gens:
+            x = g[c]
+            if x:
+                v = 0
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                if best is None or v < best[0]:
+                    best = (v, g)
+                    if v == 0:
+                        break
+        if best is None:
+            row = [0] * m
+            row[c] = q
+            rows.append(row)
+            continue
+        v, g0 = best
+        pv = p**v
+        inv = pow(g0[c] // pv, -1, q)
+        tail = [x * inv % q for x in g0[c + 1 :]]
+        rest = []
+        for g in gens:
+            if g is g0:
+                continue
+            f = g[c] // pv
+            if f:
+                g = [0] * (c + 1) + [(x - f * y) % q for x, y in zip(g[c + 1 :], tail)]
+                if not any(g):
+                    continue
+            rest.append(g)
+        if v:
+            shifted = [x * p ** (e - v) % q for x in tail]
+            if any(shifted):
+                rest.append([0] * (c + 1) + shifted)
+        gens = rest
+        rows.append([0] * c + [pv] + tail)
+    # reduce each entry above a pivot into [0, pivot), column by column
+    for c, pivot_row in enumerate(rows):
+        d = pivot_row[c]
+        tail = pivot_row[c + 1 :]
+        for row in rows[:c]:
+            f = row[c] // d
+            if f:
+                row[c] -= f * d
+                row[c + 1 :] = [(x - f * y) % q for x, y in zip(row[c + 1 :], tail)]
+    return transpose(rows)
+
+
 def hnf_p_saturated(cols, p):
     """Column HNF of the prime-to-p saturation of the integer column span.
 
@@ -486,7 +551,9 @@ def hnf_p_saturated(cols, p):
     after localization at p, with each elementary divisor replaced by its
     p-part.  Zero columns are dropped.  An input that already is that
     basis (diagonal standard relations, their sums) is returned as a copy
-    without any normal form.
+    without any normal form.  A caller that knows a power p^e killing the
+    quotient (so the span contains p^e . Z^m) gets the same basis from
+    :func:`hnf_mod_prime_power`, without a Smith form or transforms.
     """
     m, n = shape(cols)
     if n == 0 or m == 0:
@@ -522,7 +589,3 @@ def hstack(a, b):
     if not b:
         return copy_mat(a)
     return [ra + rb for ra, rb in zip(a, b)]
-
-
-def vstack(a, b):
-    return copy_mat(a) + copy_mat(b)

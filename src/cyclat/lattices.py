@@ -125,7 +125,13 @@ def permutation_lattice(params, i):
 
 
 def mab_lattice(params, a, b):
-    """Library ideal lattice with parameters (a, b); see module docstring."""
+    """Library ideal lattice with parameters (a, b); see module docstring.
+
+    The basis is the column Hermite form of the ideal in Z[Gamma].  For
+    b > 0 the ideal contains p^a . Z[Gamma], so that form is taken modulo
+    p^a from the sigma^k (sigma^(p^c) - 1) alone, and its index is a power
+    of p; for b = 0 the ideal has lower rank and is p-saturated over Z.
+    """
     if not isinstance(a, int) or not isinstance(b, int):
         raise TypeError("a and b must be integers")
     if a < 1 or b < 0 or a + b > params.n:
@@ -143,14 +149,11 @@ def mab_lattice(params, a, b):
         col[(k + stride) % order] += 1
         col[k] -= 1
         cols.append(col)
-    if b > 0:
-        pa = p**a
-        for k in range(order):
-            col = [0] * order
-            col[k] = pa
-            cols.append(col)
     gen_matrix = intmat.transpose(cols)
-    basis = intmat.hnf_p_saturated(gen_matrix, p)
+    if b > 0:
+        basis = intmat.hnf_mod_prime_power(gen_matrix, p, a)
+    else:
+        basis = intmat.hnf_p_saturated(gen_matrix, p)
     shifted = intmat.mat_mul(regular_shift_matrix(params), basis)
     action = intmat.solve_exact(basis, shifted)
     lattice = GammaLattice(params, action, _trusted=True)

@@ -1,6 +1,7 @@
 """Tate cohomology of lattices over subgroup towers, and the level diagrams."""
 
 import itertools
+import random
 
 import pytest
 
@@ -73,6 +74,71 @@ class TestFirstCohomology:
             lat = mab_lattice(pr, a, b)
             for j in range(4):
                 assert tate_h1(lat, j).exponent_log() <= j
+
+
+def _seeded_variants(params, rng):
+    """Each library lattice, bare and with a seeded permutation summand
+    under a seeded unimodular base change."""
+    for a, b in all_labels(params.n):
+        lat = mab_lattice(params, a, b)
+        yield lat
+        summed = direct_sum([lat, permutation_lattice(params, rng.randrange(params.n + 1))])
+        yield random_unimodular_change(summed, rng.getrandbits(64))
+
+
+class TestRelationsModuloLevelOrder:
+    """Relations reduced modulo p^j equal the p-saturated form over Z."""
+
+    def test_level_relations_equal_the_p_saturated_form(self):
+        rng = random.Random(20261018)
+        for p, n in ((3, 2), (3, 3), (5, 2)):
+            pr = GroupParams(p, n)
+            for lat in _seeded_variants(pr, rng):
+                for j in range(1, n + 1):
+                    basis = intmat.kernel(lat.norm_matrix(j), ncols=lat.rank)
+                    raw = intmat.solve_exact(basis, lat.moved_matrix(j))
+                    assert tate_h1(lat, j).relations == intmat.hnf_p_saturated(raw, p)
+                    fixed = intmat.kernel(lat.moved_matrix(j), ncols=lat.rank)
+                    raw = intmat.solve_exact(fixed, lat.norm_matrix(j))
+                    assert tate_h0(lat, j).relations == intmat.hnf_p_saturated(raw, p)
+
+    def test_saturation_takes_no_smith_form(self, monkeypatch):
+        # H^1 relations reach the module constructor already saturated, and
+        # b > 0 ideals are reduced modulo p^a; neither runs a Smith form
+        rng = random.Random(7)
+        cases = {}
+        for p, n in ((3, 2), (3, 3), (5, 2)):
+            pr = GroupParams(p, n)
+            cases[pr] = list(_seeded_variants(pr, rng))
+        calls, saturating = [], []
+        snf, saturate = intmat.snf, intmat.hnf_p_saturated
+
+        def counting_snf(a):
+            if saturating:
+                calls.append(intmat.shape(a))
+            return snf(a)
+
+        def marked_saturate(cols, p):
+            saturating.append(True)
+            try:
+                return saturate(cols, p)
+            finally:
+                saturating.pop()
+
+        monkeypatch.setattr(intmat, "snf", counting_snf)
+        monkeypatch.setattr(intmat, "hnf_p_saturated", marked_saturate)
+        for pr, lattices in cases.items():
+            for lat in lattices:
+                for j in range(1, pr.n + 1):
+                    tate_h1(lat, j)
+        assert calls == []
+        monkeypatch.setattr(intmat, "hnf_p_saturated", saturate)
+        saturating.append(True)  # count every Smith form of the ideal builds
+        for pr in cases:
+            for a, b in all_labels(pr.n):
+                if b > 0:
+                    mab_lattice(pr, a, b)
+        assert calls == []
 
 
 class TestZerothCohomology:

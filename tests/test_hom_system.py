@@ -144,3 +144,27 @@ def test_one_hermite_form_per_level_for_the_generator_words(monkeypatch):
             widest = max(widest, src.gens)
     # levels with several generators are where a per-generator form would show
     assert widest >= 3
+
+
+def test_solution_lattice_is_the_hermite_form_over_z(monkeypatch):
+    # the lattice is reduced modulo q = p^n without a transform; it must be
+    # the column HNF over Z of the kernel projection next to q . I
+    seen = []
+    original = intmat.hnf_mod_prime_power
+
+    def recording(cols, p, e):
+        out = original(cols, p, e)
+        seen.append((cols, p**e, out))
+        return out
+
+    monkeypatch.setattr(intmat, "hnf_mod_prime_power", recording)
+    for name in sorted(PAIRS):
+        md1, md2 = (_minimized_diagram(d) for d in PAIRS[name])
+        seen.clear()
+        system = _build_hom_system(md1, md2)
+        assert len(seen) == 1, name
+        cols, q, out = seen[0]
+        qfull = intmat.mat_scale(q, intmat.identity(system.total))
+        assert out == intmat.hnf_cols(intmat.hstack(cols, qfull)), name
+        assert system.basis == out
+        assert system.pivots == [out[i][i] for i in range(system.total)]

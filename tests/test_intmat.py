@@ -5,13 +5,18 @@ import random
 
 import pytest
 import sympy
-from sympy.matrices.normalforms import smith_normal_form
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from cyclat import intmat
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def in_colspan(a, b):
+    """Whether the column b lies in the integer column span of a."""
+    return intmat.express_in_colspan(a, b) is not None
 
 
 SHAPES = [(1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (4, 6), (5, 3), (2, 2)]
@@ -121,7 +126,7 @@ class TestKernel:
                 for x in ivec:
                     g = sympy.gcd(g, x)
                 prim = [x // int(g) for x in ivec]
-                assert intmat.in_colspan(k, prim)
+                assert in_colspan(k, prim)
 
     def test_empty_matrix_requires_ncols(self):
         with pytest.raises(ValueError):
@@ -170,7 +175,7 @@ class TestExpressInColspan:
     def test_rejects_outside_vector(self):
         a = [[2, 0], [0, 2]]
         assert intmat.express_in_colspan(a, [1, 0]) is None
-        assert intmat.in_colspan(a, [2, -4])
+        assert in_colspan(a, [2, -4])
 
 
 def in_span_by_smith(a, b):
@@ -265,7 +270,7 @@ class TestPSaturatedForm:
             # input span sits inside the saturated span
             for j in range(4):
                 col = [a[i][j] for i in range(3)]
-                assert intmat.in_colspan(b, col)
+                assert in_colspan(b, col)
             # each basis vector re-enters the input span after scaling by
             # the prime-to-3 part of the index, so nothing was added at 3
             index = 1
@@ -274,7 +279,7 @@ class TestPSaturatedForm:
             away_from_p = index // intmat.p_part(index, 3)
             for j in range(ncols_b):
                 col = [away_from_p * b[i][j] for i in range(3)]
-                assert intmat.in_colspan(a, col)
+                assert in_colspan(a, col)
 
 
     @staticmethod
@@ -361,6 +366,66 @@ class TestPSaturatedForm:
         assert calls == []
 
 
+class TestHnfModPrimePower:
+    """The HNF of span(cols) + p^e . Z^m, against two independent oracles."""
+
+    @staticmethod
+    def seeded_cases():
+        """Seeded (cols, p, e) with negative, multi-word, zero and p-divisible
+        entries, zero columns, and inputs with no columns at all."""
+        rng = random.Random(20261018)
+        for trial in range(120):
+            p = (3, 5, 7)[trial % 3]
+            e = 1 + trial // 3 % 4
+            m = rng.randrange(1, 7)
+            n = rng.randrange(0, 8)
+            bound = 2**70 if trial % 4 == 0 else 9
+            cols = [
+                [rng.randint(-bound, bound) * p ** rng.randrange(e + 1) for _ in range(n)]
+                for _ in range(m)
+            ]
+            for row in cols:
+                for j in range(0, n, 3):
+                    row[j] = 0  # every third column is zero
+            yield cols, p, e
+
+    @staticmethod
+    def p_power_scalar(m, q):
+        return [[q if i == k else 0 for k in range(m)] for i in range(m)]
+
+    def test_matches_column_hnf_with_the_p_power_block(self):
+        for cols, p, e in self.seeded_cases():
+            q = p**e
+            ref = intmat.hnf_cols(intmat.hstack(cols, self.p_power_scalar(len(cols), q)))
+            assert intmat.hnf_mod_prime_power(cols, p, e) == ref
+
+    def test_matches_sympy_hermite_form(self):
+        # sympy's HNF is upper triangular with entries right of each pivot
+        # reduced; reversing the coordinates maps it onto this convention
+        for cols, p, e in self.seeded_cases():
+            full = intmat.hstack(cols, self.p_power_scalar(len(cols), p**e))
+            ref = hermite_normal_form(sympy.Matrix(full))
+            ref = [[int(ref[i, j]) for j in range(ref.cols)] for i in range(ref.rows)]
+            out = intmat.hnf_mod_prime_power(cols[::-1], p, e)
+            assert [row[::-1] for row in out[::-1]] == ref
+
+    def test_result_is_its_own_p_saturated_form(self):
+        for cols, p, e in self.seeded_cases():
+            out = intmat.hnf_mod_prime_power(cols, p, e)
+            assert intmat._is_p_saturated_hnf(out, p)
+            assert all(p**e % out[i][i] == 0 for i in range(len(out)))
+
+    def test_degenerate_shapes(self):
+        assert intmat.hnf_mod_prime_power([], 3, 2) == []
+        assert intmat.hnf_mod_prime_power([[], [], []], 5, 2) == self.p_power_scalar(3, 25)
+        zero = intmat.zeros(2, 3)
+        assert intmat.hnf_mod_prime_power(zero, 7, 1) == self.p_power_scalar(2, 7)
+        # columns (9, 3) and (6, -27) span (3, 0) and (0, 3) together with 9 . Z^2
+        assert intmat.hnf_mod_prime_power([[9, 6], [3, -27]], 3, 2) == [[3, 0], [0, 3]]
+        assert intmat.hnf_mod_prime_power([[2, 1], [5, 3]], 3, 4) == intmat.identity(2)
+        assert intmat.hnf_mod_prime_power([[2, 1], [5, 4]], 3, 4) == [[1, 0], [1, 3]]
+
+
 class TestHelpers:
     def test_mat_pow_agrees_with_repeated_product(self):
         a = [[1, 1], [0, 1]]
@@ -376,7 +441,6 @@ class TestHelpers:
         r = intmat.block_diag([[[5]], [], [[1, 1, 0], [0, 1, 1]]])
         assert r == [[5, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
         assert intmat.hstack([[1], [2]], [[3], [4]]) == [[1, 3], [2, 4]]
-        assert intmat.vstack([[1, 2]], [[3, 4]]) == [[1, 2], [3, 4]]
 
     def test_p_valuation_and_p_part(self):
         assert intmat.p_valuation(54, 3) == 3

@@ -1,0 +1,171 @@
+"""Seeded differential corpus: digests of cyclat's canonical outputs.
+
+Run from the root of a source checkout:
+
+    python3 tools/differential.py [--seed N]
+
+It imports ``cyclat`` from that checkout's ``src/`` and prints one line per
+section (name, number of records, SHA-256 of the records as canonical JSON)
+and a last line digesting all sections.  Two checkouts agree on the corpus
+exactly when they print the same lines, so an old-versus-new check is
+
+    diff <(cd old && python3 tools/differential.py) \\
+         <(cd new && python3 tools/differential.py)
+
+The records hold only outputs that do not depend on how a normal form was
+computed: library ideal bases, level relations (saturated Hermite forms),
+level divisors and invariants, minimized diagrams with their rung matrices,
+hom-system bases and pivots, and isomorphism verdicts with their witnesses.
+No transform of a Hermite or Smith form is recorded.  Each section prints its
+own digest, so a mismatch names the layer where the outputs part.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from cyclat.cohomology import tate_h0, tate_h1, yakovlev_diagram  # noqa: E402
+from cyclat.diagrams import (  # noqa: E402
+    _build_hom_system,
+    _isomorphism_search,
+    _library_labels,
+    _minimized_diagram,
+    library_diagram,
+)
+from cyclat.groupring import GroupParams  # noqa: E402
+from cyclat.lattices import (  # noqa: E402
+    direct_sum,
+    mab_lattice,
+    permutation_lattice,
+    random_unimodular_change,
+)
+
+# (p, n) groups of the lattice corpus; the last one only for bare library labels
+GROUPS = ((3, 2), (3, 3), (5, 2), (7, 2))
+LARGE = (3, 4)
+# groups of the diagram-pair corpus (hom systems and verdicts)
+PAIR_GROUPS = ((3, 2), (3, 3), (5, 2))
+BUDGET = 10**6
+
+
+def lattice_corpus(rng):
+    """(name, lattice) over every group: permutation lattices, each library
+    label, and the label with a seeded permutation summand and base change."""
+    for p, n in GROUPS:
+        params = GroupParams(p, n)
+        for i in range(n + 1):
+            yield f"p{p}n{n}_perm{i}", permutation_lattice(params, i)
+        for a, b in _library_labels(n):
+            lat = mab_lattice(params, a, b)
+            yield f"p{p}n{n}_({a},{b})", lat
+            summed = direct_sum([lat, permutation_lattice(params, rng.randrange(n + 1))])
+            yield f"p{p}n{n}_({a},{b})+perm", summed
+            yield f"p{p}n{n}_({a},{b})+perm_changed", random_unimodular_change(
+                summed, rng.getrandbits(64)
+            )
+    p, n = LARGE
+    params = GroupParams(p, n)
+    for a, b in _library_labels(n):
+        yield f"p{p}n{n}_({a},{b})", mab_lattice(params, a, b)
+
+
+def module_record(module):
+    n = module.params.n
+    return {
+        "gens": module.gens,
+        "relations": module.relations,
+        "action": module.action,
+        "divisors": [list(module.level_divisors(j)) for j in range(n + 1)],
+    }
+
+
+def diagram_record(diagram):
+    md = _minimized_diagram(diagram)
+    return {
+        "levels": [module_record(m) for m in md.levels],
+        "ups": [m.matrix for m in md.ups],
+        "downs": [m.matrix for m in md.downs],
+        "invariants": [list(x) for x in diagram.level_invariants()],
+    }
+
+
+def pair_corpus(rng):
+    """(name, d1, d2): each library label against a seeded variant lattice,
+    both ways, plus cross-label pairs whose answer is No."""
+    for p, n in PAIR_GROUPS:
+        params = GroupParams(p, n)
+        labels = _library_labels(n)
+        for a, b in labels:
+            lib = library_diagram(params, {(a, b): 1})
+            lat = mab_lattice(params, a, b)
+            if rng.randrange(2):
+                lat = direct_sum([lat, permutation_lattice(params, rng.randrange(n + 1))])
+            lat = random_unimodular_change(lat, rng.getrandbits(64))
+            diag = yakovlev_diagram(lat)
+            yield f"p{p}n{n}_({a},{b})_lattice_to_library", diag, lib
+            yield f"p{p}n{n}_({a},{b})_library_to_lattice", lib, diag
+            other = labels[rng.randrange(len(labels))]
+            yield f"p{p}n{n}_({a},{b})_to_{other}", lib, library_diagram(params, {other: 1})
+    params = GroupParams(3, 2)
+    yield "p3n2_(1,1)_to_(2,0)+(1,0)", library_diagram(
+        params, {(1, 1): 1}
+    ), library_diagram(params, {(2, 0): 1, (1, 0): 1})
+
+
+def sections(seed):
+    rng = random.Random(seed)
+    ideals, h1, h0, diagrams = [], [], [], []
+    for p, n in GROUPS + (LARGE,):
+        params = GroupParams(p, n)
+        for a, b in _library_labels(n):
+            lat = mab_lattice(params, a, b)
+            ideals.append([p, n, a, b, lat.basis_in_group_ring, lat.action])
+    for name, lat in lattice_corpus(rng):
+        n = lat.params.n
+        h1.append([name, [module_record(tate_h1(lat, j)) for j in range(n + 1)]])
+        h0.append([name, [module_record(tate_h0(lat, j)) for j in range(n + 1)]])
+        diagrams.append([name, diagram_record(yakovlev_diagram(lat))])
+    homs, verdicts = [], []
+    for name, d1, d2 in pair_corpus(rng):
+        verdict, witness = _isomorphism_search(d1, d2, BUDGET, 0)
+        verdicts.append([name, verdict.name, witness])
+        md1, md2 = _minimized_diagram(d1), _minimized_diagram(d2)
+        system = _build_hom_system(md1, md2)
+        homs.append([name, system.total, system.basis, system.pivots])
+    return {
+        "ideals": ideals,
+        "h1_levels": h1,
+        "h0_levels": h0,
+        "diagrams": diagrams,
+        "hom_systems": homs,
+        "verdicts": verdicts,
+    }
+
+
+def digest(obj):
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=1, help="corpus seed (default 1)")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    out = sections(args.seed)
+    for name, records in out.items():
+        print(f"{name:12s} {len(records):4d} {digest(records)}")
+    print(f"{'all':12s} {sum(len(r) for r in out.values()):4d} {digest(out)}")
+    print(f"# seed {args.seed}, {time.perf_counter() - start:.1f} s", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
