@@ -23,16 +23,20 @@ from .finmod import FiniteGammaModule, GammaMap
 
 
 def _h1_data(lattice, j):
-    """(module, kernel_basis) for the level-j group, cached on the lattice.
+    """(module, kernel_basis, factor) for the level-j group, cached on the lattice.
 
     ``kernel_basis`` has the basis of ker(Norm_j) as columns (None when the
     kernel is trivial); the module presents that kernel modulo the image of
-    s_j - 1 with the induced sigma action.  The group order p^j kills the
-    level-j group, so the relations contain p^j . Z^k and are their own
-    p-saturation: their Hermite form is taken modulo p^j, and the module
-    constructor finds it already saturated.  The module is validated once,
-    on its invariant-factor form, whose p-power diagonal relations keep the
-    check small; the raw presentation itself is built trusted.
+    s_j - 1 with the induced sigma action.  ``factor`` is the basis's one
+    ``intmat.factor_full_column_rank``: the relations, the action and the
+    rung maps into this level (``up_map``, ``down_map``) all solve against
+    it, and since the basis is saturated its back-substitution is empty.
+    The group order p^j kills the level-j group, so the relations contain
+    p^j . Z^k and are their own p-saturation: their Hermite form is taken
+    modulo p^j, and the module constructor finds it already saturated.  The
+    module is validated once, on its invariant-factor form, whose p-power
+    diagonal relations keep the check small; the raw presentation itself is
+    built trusted.
     """
     params = lattice.params
     params.check_level(j)
@@ -40,20 +44,21 @@ def _h1_data(lattice, j):
     if j in cache:
         return cache[j]
     if j == 0 or lattice.rank == 0:
-        cache[j] = (FiniteGammaModule.zero(params), None)
+        cache[j] = (FiniteGammaModule.zero(params), None, None)
         return cache[j]
     norm = lattice.norm_matrix(j)
     basis = intmat.kernel(norm, ncols=lattice.rank)
     k = len(basis[0]) if basis and basis[0] else 0
     if k == 0:
-        cache[j] = (FiniteGammaModule.zero(params), None)
+        cache[j] = (FiniteGammaModule.zero(params), None, None)
         return cache[j]
-    relations = intmat.solve_exact(basis, lattice.moved_matrix(j))
+    factor = intmat.factor_full_column_rank(basis)
+    relations = intmat.solve_factored(factor, lattice.moved_matrix(j))
     relations = intmat.hnf_mod_prime_power(relations, params.p, j)
-    action = intmat.solve_exact(basis, intmat.mat_mul(lattice.action, basis))
+    action = intmat.solve_factored(factor, intmat.mat_mul(lattice.action, basis))
     module = FiniteGammaModule(params, k, relations, action, _trusted=True)
     module.minimized()[0]._validate()
-    cache[j] = (module, basis)
+    cache[j] = (module, basis, factor)
     return cache[j]
 
 
@@ -76,9 +81,10 @@ def tate_h0(lattice, j):
     f = len(fixed[0]) if fixed and fixed[0] else 0
     if f == 0:
         return FiniteGammaModule.zero(params)
-    relations = intmat.solve_exact(fixed, lattice.norm_matrix(j))
+    factor = intmat.factor_full_column_rank(fixed)
+    relations = intmat.solve_factored(factor, lattice.norm_matrix(j))
     relations = intmat.hnf_mod_prime_power(relations, params.p, j)
-    action = intmat.solve_exact(fixed, intmat.mat_mul(lattice.action, fixed))
+    action = intmat.solve_factored(factor, intmat.mat_mul(lattice.action, fixed))
     return FiniteGammaModule(params, f, relations, action)
 
 
@@ -101,12 +107,12 @@ def down_map(lattice, i, _trusted=False):
     """
     if not 1 <= i <= lattice.params.n:
         raise ValueError(f"down map level {i} outside 1..{lattice.params.n}")
-    src, src_basis = _h1_data(lattice, i)
-    tgt, tgt_basis = _h1_data(lattice, i - 1)
+    src, src_basis, _ = _h1_data(lattice, i)
+    tgt, tgt_basis, tgt_factor = _h1_data(lattice, i - 1)
     if src_basis is None or tgt_basis is None:
         return GammaMap.zero(src, tgt)
     moved = lattice.apply_relative_norm(i, src_basis)
-    return GammaMap(src, tgt, intmat.solve_exact(tgt_basis, moved), _trusted=_trusted)
+    return GammaMap(src, tgt, intmat.solve_factored(tgt_factor, moved), _trusted=_trusted)
 
 
 def up_map(lattice, i, _trusted=False):
@@ -118,11 +124,11 @@ def up_map(lattice, i, _trusted=False):
     """
     if not 1 <= i <= lattice.params.n:
         raise ValueError(f"up map level {i} outside 1..{lattice.params.n}")
-    src, src_basis = _h1_data(lattice, i - 1)
-    tgt, tgt_basis = _h1_data(lattice, i)
+    src, src_basis, _ = _h1_data(lattice, i - 1)
+    tgt, tgt_basis, tgt_factor = _h1_data(lattice, i)
     if src_basis is None or tgt_basis is None:
         return GammaMap.zero(src, tgt)
-    return GammaMap(src, tgt, intmat.solve_exact(tgt_basis, src_basis), _trusted=_trusted)
+    return GammaMap(src, tgt, intmat.solve_factored(tgt_factor, src_basis), _trusted=_trusted)
 
 
 def yakovlev_diagram(lattice):

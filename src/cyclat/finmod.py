@@ -177,6 +177,8 @@ class FiniteGammaModule:
         s_j = sigma^(p^(n-j)) generates the subgroup of order p^j; every
         divisor is a power of p.  One Smith diagonal of [relations | S_j - I]
         per level, cached: all other sizes and invariants read from these.
+        The saturated relations have index p^order_log, so they contain
+        p^order_log . Z^g and the diagonal is taken modulo that power.
         """
         self.params.check_level(j)
         cache = self.__dict__.setdefault("_level_divisors", {})
@@ -187,7 +189,9 @@ class FiniteGammaModule:
                     self.action_power(self.params.p ** (self.params.n - j)),
                     intmat.identity(self.gens),
                 )
-                divs = intmat.snf_diagonal(intmat.hstack(self.relations, moved))
+                divs = intmat.smith_diagonal_mod_prime_power(
+                    intmat.hstack(self.relations, moved), self.params.p, self.order_log()
+                )
             cache[j] = tuple(d for d in divs if d > 1)
         return cache[j]
 
@@ -239,12 +243,12 @@ class FiniteGammaModule:
             cache = (zero, to_min, from_min)
             self.__dict__["_minimized"] = cache
             return cache
-        # transported action, with each row reduced modulo its own modulus
-        full = intmat.mat_mul(intmat.mat_mul(u, self.action), uinv)
-        for i in keep:
-            if any(full[i][k] * d[k][k] % d[i][i] for k in range(self.gens)):
+        # transported action on the kept rows, each reduced modulo its modulus
+        full = intmat.mat_mul(intmat.mat_mul(to_min, self.action), uinv)
+        for row, i in zip(full, keep):
+            if any(row[k] * d[k][k] % d[i][i] for k in range(self.gens)):
                 raise ValueError("action does not preserve the relation span")
-        act = [[full[i][k] % d[i][i] for k in keep] for i in keep]
+        act = [[row[k] % d[i][i] for k in keep] for row, i in zip(full, keep)]
         k = len(keep)
         relations = [[moduli[i] if i == c else 0 for c in range(k)] for i in range(k)]
         mod = FiniteGammaModule(self.params, k, relations, act, _trusted=True)
@@ -457,10 +461,12 @@ class GammaMap:
         tgt = self.target
         if tgt.gens == 0 or self.source.gens == 0:
             return 0
+        # the target relations contain p^order . Z^g, so the cokernel's
+        # Smith diagonal is taken modulo that power
+        order = tgt.order_log()
         stacked = intmat.hstack(self.matrix, tgt.relations)
-        divs = intmat.snf_diagonal(stacked)
-        cokernel = sum(intmat.p_valuation(d, tgt.params.p) for d in divs if d)
-        return tgt.order_log() - cokernel
+        divs = intmat.smith_diagonal_mod_prime_power(stacked, tgt.params.p, order)
+        return order - sum(intmat.p_valuation(d, tgt.params.p) for d in divs)
 
     def is_surjective(self):
         return self.image_order_log() == self.target.order_log()

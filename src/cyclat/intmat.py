@@ -14,8 +14,13 @@ Conventions:
     (pivot rows strictly increasing column by column, zero columns last).
   * ``snf(A) -> (D, U, V)`` with ``U @ A @ V == D`` diagonal,
     ``d_1 | d_2 | ...``, all transforms unimodular.
+  * ``solve_exact(A, B)`` is ``factor_full_column_rank(A)`` followed by
+    ``solve_factored(F, B)``: a caller that solves several right-hand sides
+    against one A at different times factors A once and keeps F.
   * ``hnf_mod_prime_power(A, p, e) -> H``, no transform: the column HNF of
     span(A) + p^e . Z^m in the shape of ``hnf_cols``, computed modulo p^e.
+  * ``smith_diagonal_mod_prime_power(A, p, e)``, no transform: the Smith
+    diagonal of [A | p^e . I], computed modulo p^e.
 
 Empty matrices are handled by the callers (which know their shapes);
 helpers here assume non-degenerate input unless noted.
@@ -82,6 +87,9 @@ def mat_vec(a, v):
 
 
 def mat_pow(a, k):
+    """a^k for k >= 0, by repeated squaring."""
+    if k < 0:
+        raise ValueError(f"negative matrix power {k}")
     n = len(a)
     result = identity(n)
     base = a
@@ -227,6 +235,10 @@ def snf(a):
                 x = di[j]
                 if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
+                    if best[0] == 1:  # nothing smaller can follow
+                        break
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             return False
         _, bi, bj = best
@@ -260,10 +272,10 @@ def snf(a):
                 break
             # a smaller remainder appeared; move it to the pivot position
             move_smallest_to_pivot(t)
-        # divisibility: pivot must divide every remaining entry
+        # divisibility: pivot must divide every remaining entry (a unit does)
         piv = d[t][t]
         fixed = True
-        for i in range(t + 1, m):
+        for i in range(t + 1, m) if abs(piv) != 1 else ():
             row = d[i]
             for j in range(t + 1, n):
                 if row[j] % piv:
@@ -287,7 +299,9 @@ def snf(a):
 def snf_diagonal(a):
     """Invariant factors: the nonzero diagonal d_1 | d_2 | ... of the Smith form.
 
-    Runs the full :func:`snf`, transforms included, and drops them.
+    Runs the full :func:`snf`, transforms included, and drops them; the
+    package itself uses :func:`smith_diagonal_mod_prime_power`, and this
+    stays as the oracle over Z.
     """
     d, _, _ = snf(a)
     m, n = shape(d)
@@ -302,45 +316,68 @@ def unimodular_inverse(u):
     return t
 
 
+def factor_full_column_rank(a):
+    """Row Hermite factorization of an a with full column rank, for solving.
+
+    Returns (n, T, pivots) with T @ a == H for the row HNF H: full column
+    rank puts the pivot of row i in column i, for i < n, and the rows from
+    n on are zero.  ``pivots[i]`` is (H[i][i], [(k, H[k][i]) for the rows
+    k < i with H[k][i] != 0]), so back-substitution skips the zeros above
+    each pivot; for a saturated basis (a kernel basis) H's top block is the
+    identity and every such list is empty.  H itself is not kept.  Raises
+    ValueError when a does not have full column rank.
+    """
+    m, n = shape(a)
+    if n == 0:
+        return 0, [], []
+    h, t = row_hnf(a)  # t @ a = h, upper echelon
+    if m < n or not all(h[i][i] for i in range(n)):
+        raise ValueError("matrix does not have full column rank")
+    pivots = [(h[i][i], [(k, h[k][i]) for k in range(i) if h[k][i]]) for i in range(n)]
+    return n, t, pivots
+
+
+def solve_factored(factor, b):
+    """Solve a @ X = b for the a behind ``factor_full_column_rank(a)``.
+
+    ``b`` is a matrix whose columns are solved independently.  Returns X with
+    a @ X == b, or raises ValueError if some column has no integer solution.
+    """
+    n, t, pivots = factor
+    if n == 0:
+        if any(x for row in b for x in row):
+            raise ValueError("inconsistent system with zero unknowns")
+        return []
+    tb = mat_mul(t, b)
+    if any(any(row) for row in tb[n:]):
+        raise ValueError("no integer solution (inconsistent rows)")
+    res = tb[:n]
+    x = [None] * n
+    for i in reversed(range(n)):
+        piv, above = pivots[i]
+        if piv == 1:
+            xi = res[i]
+        else:
+            xi = []
+            for y in res[i]:
+                q, r = divmod(y, piv)
+                if r:
+                    raise ValueError("no integer solution (divisibility fails)")
+                xi.append(q)
+        x[i] = xi
+        for k, hk in above:
+            res[k] = [y - hk * q for y, q in zip(res[k], xi)]
+    return x
+
+
 def solve_exact(a, b):
     """Solve a @ X = b exactly over the integers; a must have full column rank.
 
     ``b`` is a matrix whose columns are solved independently.  Returns X with
     a @ X == b, or raises ValueError if some column has no integer solution.
+    One factorization of a, then :func:`solve_factored`.
     """
-    m, n = shape(a)
-    ncols_b = len(b[0]) if b else 0
-    if n == 0:
-        if any(x for row in b for x in row):
-            raise ValueError("inconsistent system with zero unknowns")
-        return []
-    h, t = row_hnf(a)  # t @ a = h, upper echelon
-    tb = mat_mul(t, b)
-    # full column rank: exactly n pivot rows, one pivot per column
-    pivots = []
-    for i in range(m):
-        j = next((c for c in range(n) if h[i][c]), None)
-        if j is None:
-            break
-        pivots.append((i, j))
-    if len(pivots) < n:
-        raise ValueError("matrix does not have full column rank")
-    for i in range(n, m):
-        if any(tb[i]):
-            raise ValueError("no integer solution (inconsistent rows)")
-    x = zeros(n, ncols_b)
-    for col in range(ncols_b):
-        res = [tb[i][col] for i in range(n)]
-        for i in reversed(range(n)):
-            _, jpiv = pivots[i]
-            q, r = divmod(res[i], h[i][jpiv])
-            if r:
-                raise ValueError("no integer solution (divisibility fails)")
-            x[i][col] = q
-            if q:
-                for k in range(i):
-                    res[k] -= q * h[k][jpiv]
-    return x
+    return solve_factored(factor_full_column_rank(a), b)
 
 
 def hnf_coordinates(a, bs):
@@ -543,6 +580,55 @@ def hnf_mod_prime_power(cols, p, e):
     return transpose(rows)
 
 
+def smith_diagonal_mod_prime_power(cols, p, e):
+    """Smith diagonal of [cols | p^e . I], by elimination modulo p^e.
+
+    Returns all m invariant factors d_1 | ... | d_m, each a power of p
+    dividing p^e, and forms no transform.  Over the chain ring Z/p^e an
+    entry of least p-valuation v divides every other entry, so a column
+    holding one, scaled by the inverse of its unit part, clears that row in
+    every other column with one multiple each; its own column then clears
+    by row operations that touch nothing else, and only p^v is kept.  The
+    valuations come out nondecreasing, and the rows never pivoted give p^e.
+    """
+    m = len(cols)
+    q = p**e
+    gens = [g for g in ([x % q for x in col] for col in zip(*cols)) if any(g)]
+    divs = []
+    while gens:
+        best = None
+        for g in gens:
+            for r, x in enumerate(g):
+                if x:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if best is None or v < best[0]:
+                        best = (v, g, r)
+                        if v == 0:
+                            break
+            if best is not None and best[0] == 0:
+                break
+        v, g0, r = best
+        pv = p**v
+        inv = pow(g0[r] // pv, -1, q)
+        pivot_col = [x * inv % q for x in g0]
+        rest = []
+        for g in gens:
+            if g is g0:
+                continue
+            f = g[r] // pv
+            if f:
+                g = [(x - f * y) % q for x, y in zip(g, pivot_col)]
+                if not any(g):
+                    continue
+            rest.append(g)
+        gens = rest
+        divs.append(pv)
+    return divs + [q] * (m - len(divs))
+
+
 def hnf_p_saturated(cols, p):
     """Column HNF of the prime-to-p saturation of the integer column span.
 
@@ -553,7 +639,12 @@ def hnf_p_saturated(cols, p):
     basis (diagonal standard relations, their sums) is returned as a copy
     without any normal form.  A caller that knows a power p^e killing the
     quotient (so the span contains p^e . Z^m) gets the same basis from
-    :func:`hnf_mod_prime_power`, without a Smith form or transforms.
+    :func:`hnf_mod_prime_power`, without a Smith form or transforms.  Its one
+    caller in the package is ``FiniteGammaModule.__init__``: the level
+    relations of H^1 and H^0, standard, minimized and summed modules arrive
+    as that basis already, and the full path serves the others, such as the
+    anchored levels that ``sunits`` predicts, whose constructor is given no
+    power of p that kills them.
     """
     m, n = shape(cols)
     if n == 0 or m == 0:

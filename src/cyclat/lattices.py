@@ -58,8 +58,17 @@ class GammaLattice:
         return cache[k]
 
     def subgroup_generator_matrix(self, j):
-        """Action matrix of the generator of the subgroup of order p^j (j >= 1)."""
-        return self.action_power(self.params.subgroup_generator_exponent(j))
+        """Action matrix of the generator s_j of the subgroup of order p^j (j >= 1).
+
+        s_n is sigma itself and s_j = s_(j+1)^p, so each level costs one p-th
+        power of the level above; the result is kept in the power cache.
+        """
+        k = self.params.subgroup_generator_exponent(j)
+        cache = self.__dict__.setdefault("_power_cache", {})
+        if j == self.params.n or k in cache:
+            return self.action_power(k)
+        cache[k] = intmat.mat_pow(self.subgroup_generator_matrix(j + 1), self.params.p)
+        return cache[k]
 
     def moved_matrix(self, j):
         """Matrix of s_j - I, for s_j generating the subgroup of order p^j (j >= 1)."""
@@ -85,18 +94,19 @@ class GammaLattice:
     def norm_matrix(self, j):
         """Matrix of the full subgroup norm sum_{g in Gamma_j} g (j in 0..n).
 
-        Computed as the product of relative norms down the subgroup chain,
-        which keeps the number of matrix multiplications linear in n.
+        Applied down the subgroup chain: N_1 is the relative norm R_1, and
+        N_j = R_j @ N_(j-1) is R_j applied to N_(j-1), p - 1 products by the
+        sparse s_j, with no relative norm formed and no dense product.
         """
         self.params.check_level(j)
         cache = self.__dict__.setdefault("_norm_cache", {})
         if j not in cache:
             if j == 0:
                 cache[j] = intmat.identity(self.rank)
+            elif j == 1:
+                cache[j] = self.relative_norm_matrix(1)
             else:
-                cache[j] = intmat.mat_mul(
-                    self.relative_norm_matrix(j), self.norm_matrix(j - 1)
-                )
+                cache[j] = self.apply_relative_norm(j, self.norm_matrix(j - 1))
         return cache[j]
 
     def __repr__(self):
@@ -124,13 +134,33 @@ def permutation_lattice(params, i):
     return GammaLattice(params, action, _trusted=True)
 
 
+def ideal_generator_matrix(params, c):
+    """Columns sigma^k (sigma^(p^c) - 1), k = 0 .. p^n - 1, in Z[Gamma]."""
+    order = params.order
+    stride = params.p**c
+    cols = []
+    for k in range(order):
+        col = [0] * order
+        col[(k + stride) % order] += 1
+        col[k] -= 1
+        cols.append(col)
+    return intmat.transpose(cols)
+
+
 def mab_lattice(params, a, b):
     """Library ideal lattice with parameters (a, b); see module docstring.
 
     The basis is the column Hermite form of the ideal in Z[Gamma].  For
     b > 0 the ideal contains p^a . Z[Gamma], so that form is taken modulo
     p^a from the sigma^k (sigma^(p^c) - 1) alone, and its index is a power
-    of p; for b = 0 the ideal has lower rank and is p-saturated over Z.
+    of p.  For b = 0 the ideal (sigma^m - 1), m = p^c, is the kernel of
+    Z[Gamma] -> Z[C_m], sigma -> a generator of C_m: the elements whose
+    coefficients sum to zero over each residue class mod m.  So it is
+    saturated of rank N - m, N = p^n, and the columns
+    e_k - e_(N-m+(k mod m)) for k < N - m lie in it.  They are lower
+    triangular with unit pivots on the first N - m rows, so they span a
+    saturated lattice of that rank, which is the ideal.  With unit pivots
+    and nothing left of them, they already are its column Hermite form.
     """
     if not isinstance(a, int) or not isinstance(b, int):
         raise TypeError("a and b must be integers")
@@ -142,18 +172,14 @@ def mab_lattice(params, a, b):
     order = params.order
     c = n - (a + b)
     stride = p**c
-    cols = []
-    # sigma^k * (sigma^(p^c) - 1) for all k
-    for k in range(order):
-        col = [0] * order
-        col[(k + stride) % order] += 1
-        col[k] -= 1
-        cols.append(col)
-    gen_matrix = intmat.transpose(cols)
     if b > 0:
-        basis = intmat.hnf_mod_prime_power(gen_matrix, p, a)
+        basis = intmat.hnf_mod_prime_power(ideal_generator_matrix(params, c), p, a)
     else:
-        basis = intmat.hnf_p_saturated(gen_matrix, p)
+        rank = order - stride
+        basis = intmat.zeros(order, rank)
+        for k in range(rank):
+            basis[k][k] = 1
+            basis[rank + k % stride][k] = -1
     shifted = intmat.mat_mul(regular_shift_matrix(params), basis)
     action = intmat.solve_exact(basis, shifted)
     lattice = GammaLattice(params, action, _trusted=True)

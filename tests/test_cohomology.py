@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cyclat import diagrams, intmat
+from cyclat import cohomology, diagrams, intmat
 from cyclat.cohomology import (
     down_map,
     fixed_rank,
@@ -103,8 +103,9 @@ class TestRelationsModuloLevelOrder:
                     assert tate_h0(lat, j).relations == intmat.hnf_p_saturated(raw, p)
 
     def test_saturation_takes_no_smith_form(self, monkeypatch):
-        # H^1 relations reach the module constructor already saturated, and
-        # b > 0 ideals are reduced modulo p^a; neither runs a Smith form
+        # H^1 relations reach the module constructor already saturated, b > 0
+        # ideals are reduced modulo p^a and b = 0 ideals have a closed form;
+        # none of them runs a Smith form
         rng = random.Random(7)
         cases = {}
         for p, n in ((3, 2), (3, 3), (5, 2)):
@@ -136,8 +137,7 @@ class TestRelationsModuloLevelOrder:
         saturating.append(True)  # count every Smith form of the ideal builds
         for pr in cases:
             for a, b in all_labels(pr.n):
-                if b > 0:
-                    mab_lattice(pr, a, b)
+                mab_lattice(pr, a, b)
         assert calls == []
 
 
@@ -248,7 +248,7 @@ class TestValidatedOnce:
         # presentation rejects it (level 1 has exponent 3, so +3 is harmless)
         pr = GroupParams(3, 2)
         good = tate_h1(mab_lattice(pr, 1, 0), 1)
-        solve = intmat.solve_exact
+        solve = intmat.solve_factored
         verdicts = set()
         for r, c, delta in itertools.product(range(good.gens), range(good.gens), (1, 3)):
             bad = [row[:] for row in good.action]
@@ -262,15 +262,15 @@ class TestValidatedOnce:
             lat = mab_lattice(pr, 1, 0)
             calls = []
 
-            def faulty(a, b):
-                x = solve(a, b)
+            def faulty(factor, b):
+                x = solve(factor, b)
                 calls.append(x)
                 if len(calls) == 2:  # _h1_data solves the relations, then the action
                     x[r][c] += delta
                 return x
 
             with monkeypatch.context() as patch:
-                patch.setattr(intmat, "solve_exact", faulty)
+                patch.setattr(intmat, "solve_factored", faulty)
                 try:
                     tate_h1(lat, 1)
                 except ValueError:
@@ -314,16 +314,43 @@ class TestValidatedOnce:
         lat = mab_lattice(GroupParams(3, 2), 2, 0)
         for j in (1, 2):  # build the levels before the fault
             tate_h1(lat, j)
-        solve = intmat.solve_exact
+        solve = intmat.solve_factored
 
-        def off_by_one(a, b):
-            x = solve(a, b)
+        def off_by_one(factor, b):
+            x = solve(factor, b)
             x[0][0] += 1
             return x
 
-        monkeypatch.setattr(intmat, "solve_exact", off_by_one)
+        monkeypatch.setattr(intmat, "solve_factored", off_by_one)
         with pytest.raises(InvariantError):
             build(lat, 2)
+
+
+class TestOneFactorizationPerLevel:
+    def test_each_kernel_basis_is_factored_once_per_diagram(self, monkeypatch):
+        # the level's relations, its action and the up and down maps into it
+        # all solve against one row Hermite form of its kernel basis
+        original = intmat.row_hnf
+        factored = []
+
+        def recording(a):
+            factored.append([row[:] for row in a])
+            return original(a)
+
+        for p, n, label, perm in ((3, 3, (1, 1), None), (3, 3, (2, 0), 1), (5, 2, (1, 0), 0)):
+            pr = GroupParams(p, n)
+            lat = mab_lattice(pr, *label)
+            if perm is not None:
+                lat = random_unimodular_change(direct_sum([lat, permutation_lattice(pr, perm)]), 3)
+            factored.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(intmat, "row_hnf", recording)
+                yakovlev_diagram(lat)
+            bases = [cohomology._h1_data(lat, j)[1] for j in range(1, n + 1)]
+            bases = [basis for basis in bases if basis is not None]
+            assert len(bases) == n
+            for basis in bases:
+                assert sum(1 for a in factored if a == basis) == 1, (p, n, label)
 
 
 class TestDiagram:

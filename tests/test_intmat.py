@@ -1,6 +1,8 @@
 """Exact integer linear algebra, cross-checked against sympy normal forms."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -57,6 +59,52 @@ class TestSmithForm:
     def test_zero_and_identity(self):
         assert intmat.snf_diagonal(intmat.zeros(3, 4)) == []
         assert intmat.snf_diagonal(intmat.identity(4)) == [1, 1, 1, 1]
+
+
+def snf_pin_corpus():
+    """200 seeded matrices for the pinned Smith transforms: dense small-entry
+    matrices of many shapes (many +-1 and zero entries), sparse ones with
+    p-divisible and 40-bit entries, and lower-triangular p-power Hermite
+    forms of the kind ``FiniteGammaModule.minimized`` factors."""
+    rng = random.Random(20261019)
+    for trial in range(200):
+        kind = trial % 4
+        rows, cols = rng.randrange(0, 7), rng.randrange(0, 7)
+        if kind == 0:
+            yield random_matrix(rng, rows, cols, -2, 2)
+        elif kind == 1:
+            yield random_matrix(rng, rows, cols)
+        elif kind == 2:
+            p = (3, 5, 7)[trial % 3]
+            bound = 2**40 if trial % 8 == 2 else 4
+            yield [
+                [rng.choice((0, 0, 0, rng.randint(-bound, bound) * p ** rng.randrange(3)))
+                 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        else:
+            p = (3, 5, 7)[trial % 3]
+            m = rng.randrange(1, 9)
+            e = rng.randrange(1, 4)
+            gens = random_matrix(rng, m, rng.randrange(0, m + 2), -30, 30)
+            yield intmat.hnf_mod_prime_power(gens, p, e)
+
+
+# SHA-256 of the (D, U, V) that ``snf`` returned on ``snf_pin_corpus()``
+# before its pivot scan stopped at the first unit and its divisibility
+# sweep skipped unit pivots; equal digests mean the same pivot sequence.
+SNF_PIN = "bc0fa85d401de5134853a6f9c5183f5fa4e3cef9c7d42163fbdc0d506bcb9204"
+
+
+class TestSmithTransformsPinned:
+    def test_transforms_on_the_seeded_corpus_are_unchanged(self):
+        out = []
+        for a in snf_pin_corpus():
+            d, u, v = intmat.snf(a)
+            assert intmat.mat_mul(intmat.mat_mul(u, a), v) == d
+            out.append([d, u, v])
+        text = json.dumps(out, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == SNF_PIN
 
 
 class TestHermiteForm:
@@ -366,28 +414,33 @@ class TestPSaturatedForm:
         assert calls == []
 
 
+def p_power_cases(seed, trials, exponents):
+    """Seeded (cols, p, e), p cycling through 3, 5, 7 and e through
+    ``exponents``, with negative, multi-word, zero and p-divisible entries,
+    zero columns, and inputs with no columns at all."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        p = (3, 5, 7)[trial % 3]
+        e = exponents[trial // 3 % len(exponents)]
+        m = rng.randrange(1, 7)
+        n = rng.randrange(0, 8)
+        bound = 2**70 if trial % 4 == 0 else 9
+        cols = [
+            [rng.randint(-bound, bound) * p ** rng.randrange(e + 1) for _ in range(n)]
+            for _ in range(m)
+        ]
+        for row in cols:
+            for j in range(0, n, 3):
+                row[j] = 0  # every third column is zero
+        yield cols, p, e
+
+
 class TestHnfModPrimePower:
     """The HNF of span(cols) + p^e . Z^m, against two independent oracles."""
 
     @staticmethod
     def seeded_cases():
-        """Seeded (cols, p, e) with negative, multi-word, zero and p-divisible
-        entries, zero columns, and inputs with no columns at all."""
-        rng = random.Random(20261018)
-        for trial in range(120):
-            p = (3, 5, 7)[trial % 3]
-            e = 1 + trial // 3 % 4
-            m = rng.randrange(1, 7)
-            n = rng.randrange(0, 8)
-            bound = 2**70 if trial % 4 == 0 else 9
-            cols = [
-                [rng.randint(-bound, bound) * p ** rng.randrange(e + 1) for _ in range(n)]
-                for _ in range(m)
-            ]
-            for row in cols:
-                for j in range(0, n, 3):
-                    row[j] = 0  # every third column is zero
-            yield cols, p, e
+        return p_power_cases(20261018, 120, (1, 2, 3, 4))
 
     @staticmethod
     def p_power_scalar(m, q):
@@ -426,7 +479,94 @@ class TestHnfModPrimePower:
         assert intmat.hnf_mod_prime_power([[2, 1], [5, 4]], 3, 4) == [[1, 0], [1, 3]]
 
 
+class TestSmithDiagonalModPrimePower:
+    """The Smith diagonal of [cols | p^e . I], against Z and sympy oracles."""
+
+    @staticmethod
+    def seeded_cases():
+        return p_power_cases(20261020, 150, (0, 1, 2, 3, 4))
+
+    @staticmethod
+    def with_p_power_block(cols, q):
+        m = len(cols)
+        return intmat.hstack(cols, [[q if i == k else 0 for k in range(m)] for i in range(m)])
+
+    def test_matches_smith_diagonal_over_z(self):
+        for cols, p, e in self.seeded_cases():
+            full = self.with_p_power_block(cols, p**e)
+            ref = [intmat.p_part(d, p) for d in intmat.snf_diagonal(full)]
+            assert intmat.smith_diagonal_mod_prime_power(cols, p, e) == ref, (cols, p, e)
+
+    def test_matches_sympy_smith_form(self):
+        for cols, p, e in self.seeded_cases():
+            full = self.with_p_power_block(cols, p**e)
+            ref = smith_normal_form(sympy.Matrix(full))
+            ref = sorted(abs(int(ref[i, i])) for i in range(len(cols)))
+            assert intmat.smith_diagonal_mod_prime_power(cols, p, e) == ref
+
+    def test_degenerate_shapes(self):
+        assert intmat.smith_diagonal_mod_prime_power([], 3, 2) == []
+        assert intmat.smith_diagonal_mod_prime_power([[], [], []], 5, 2) == [25, 25, 25]
+        assert intmat.smith_diagonal_mod_prime_power(intmat.zeros(2, 3), 7, 1) == [7, 7]
+        assert intmat.smith_diagonal_mod_prime_power([[4, 2], [6, 9]], 3, 0) == [1, 1]
+        # [[3, 1], [0, 3]] presents Z/9, so its diagonal modulo 27 is (1, 9)
+        assert intmat.smith_diagonal_mod_prime_power([[3, 1], [0, 3]], 3, 3) == [1, 9]
+        assert intmat.smith_diagonal_mod_prime_power([[2**80 * 3]], 3, 2) == [3]
+
+
+class TestFactoredSolve:
+    def test_one_factor_serves_every_right_hand_side(self):
+        rng = random.Random(11)
+        for rows, cols in ((3, 3), (5, 3), (6, 2), (4, 1)):
+            a = random_matrix(rng, rows, cols)
+            if intmat.rank(a) < cols:
+                continue
+            factor = intmat.factor_full_column_rank(a)
+            for _ in range(3):
+                x = random_matrix(rng, cols, rng.randrange(0, 4))
+                b = intmat.mat_mul(a, x)
+                assert intmat.solve_factored(factor, b) == intmat.solve_exact(a, b) == x
+
+    def test_back_substitution_above_non_unit_pivots(self):
+        # the row HNF of a is [[2, 1], [0, 3]] with a zero row below: the
+        # entry above the second pivot is nonzero, and both pivots divide
+        a = [[2, 1], [0, 3], [4, 2]]
+        factor = intmat.factor_full_column_rank(a)
+        n, _, pivots = factor
+        assert n == 2 and pivots == [(2, []), (3, [(0, 1)])]
+        x = [[5, -7], [-4, 2]]
+        assert intmat.solve_factored(factor, intmat.mat_mul(a, x)) == x
+        with pytest.raises(ValueError, match="divisibility"):
+            intmat.solve_factored(factor, [[1], [0], [2]])
+        with pytest.raises(ValueError, match="inconsistent"):
+            intmat.solve_factored(factor, [[2], [0], [0]])
+
+    def test_saturated_basis_has_identity_top_block(self):
+        basis = intmat.kernel([[1, 2, 3, 4], [0, 3, -3, 9]], ncols=4)
+        n, _, pivots = intmat.factor_full_column_rank(basis)
+        assert pivots == [(1, [])] * n
+
+    def test_rank_deficiency_is_caught_when_factoring(self):
+        with pytest.raises(ValueError, match="full column rank"):
+            intmat.factor_full_column_rank([[1, 2], [2, 4]])
+        with pytest.raises(ValueError, match="full column rank"):
+            intmat.factor_full_column_rank([[1, 2, 3]])
+
+    def test_no_unknowns(self):
+        factor = intmat.factor_full_column_rank([[], []])
+        assert intmat.solve_factored(factor, [[0, 0], [0, 0]]) == []
+        with pytest.raises(ValueError):
+            intmat.solve_factored(factor, [[0], [1]])
+
+
 class TestHelpers:
+    def test_mat_pow_rejects_negative_exponents(self):
+        # a negative exponent used to loop forever: k >>= 1 stays at -1
+        with pytest.raises(ValueError, match="negative"):
+            intmat.mat_pow([[1, 1], [0, 1]], -1)
+        with pytest.raises(ValueError, match="negative"):
+            intmat.mat_pow([], -3)
+
     def test_mat_pow_agrees_with_repeated_product(self):
         a = [[1, 1], [0, 1]]
         acc = intmat.identity(2)

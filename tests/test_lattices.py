@@ -11,6 +11,7 @@ from cyclat.lattices import (
     direct_sum,
     fixed_sublattice,
     group_ring_lattice,
+    ideal_generator_matrix,
     mab_lattice,
     permutation_lattice,
     random_unimodular_change,
@@ -81,6 +82,16 @@ class TestMabLattice:
         for i in range(order):
             index *= abs(int(d[i, i]))
         assert index == 3
+
+    @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+    def test_b0_closed_form_is_the_saturated_hermite_form(self, p, n):
+        # the columns e_k - e_(N-m+(k mod m)) are the p-saturated column
+        # HNF of the generators sigma^k (sigma^m - 1), computed over Z
+        pr = GroupParams(p, n)
+        for a in range(1, n + 1):
+            lat = mab_lattice(pr, a, 0)
+            ref = intmat.hnf_p_saturated(ideal_generator_matrix(pr, n - a), p)
+            assert lat.basis_in_group_ring == ref, (p, n, a)
 
     def test_parameter_validation(self):
         pr = GroupParams(3, 2)
@@ -214,6 +225,34 @@ class TestDirectSumAndBaseChange:
                 )
                 is diagrams.IsoResult.YES
             )
+
+
+class TestAppliedNorms:
+    """Norms and subgroup generators built down the chain match the formed ones."""
+
+    @pytest.mark.parametrize("p, n", [(3, 3), (5, 2), (7, 2)])
+    def test_match_products_of_formed_relative_norms(self, p, n):
+        pr = GroupParams(p, n)
+        lattices = [
+            mab_lattice(pr, 1, 0),
+            mab_lattice(pr, 1, 1),
+            random_unimodular_change(
+                direct_sum([mab_lattice(pr, 2, 0), permutation_lattice(pr, 1)]), 5
+            ),
+        ]
+        for lat in lattices:
+            norm = intmat.identity(lat.rank)
+            for j in range(1, n + 1):
+                s = intmat.mat_pow(lat.action, p ** (n - j))
+                assert lat.subgroup_generator_matrix(j) == s
+                relative = intmat.identity(lat.rank)
+                term = intmat.identity(lat.rank)
+                for _ in range(p - 1):
+                    term = intmat.mat_mul(term, s)
+                    relative = intmat.mat_add(relative, term)
+                assert lat.relative_norm_matrix(j) == relative
+                norm = intmat.mat_mul(relative, norm)
+                assert lat.norm_matrix(j) == norm
 
 
 class TestActionContract:

@@ -12,12 +12,17 @@ exactly when they print the same lines, so an old-versus-new check is
     diff <(cd old && python3 tools/differential.py) \\
          <(cd new && python3 tools/differential.py)
 
-The records hold only outputs that do not depend on how a normal form was
-computed: library ideal bases, level relations (saturated Hermite forms),
-level divisors and invariants, minimized diagrams with their rung matrices,
-hom-system bases and pivots, and isomorphism verdicts with their witnesses.
-No transform of a Hermite or Smith form is recorded.  Each section prints its
-own digest, so a mismatch names the layer where the outputs part.
+The records are library ideal bases, level relations (saturated Hermite
+forms), level divisors and invariants, minimized diagrams with their rung
+matrices, hom-system bases and pivots, and isomorphism verdicts with their
+witnesses.  Most of these are unique normal forms, which do not depend on how
+they were computed.  The rung matrices are the exception: ``diagram`` prints
+them in minimized coordinates, which come from the Smith transform that
+``FiniteGammaModule.minimized`` takes of the saturated relations, so they
+move whenever that transform's pivot sequence moves.  That is why they are
+recorded.  The ``large_diagrams`` section holds the minimized diagrams of the
+six library labels at (5, 3), rank up to 125.  Each section prints its own
+digest, so a mismatch names the layer where the outputs part.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ from cyclat.lattices import (  # noqa: E402
 # (p, n) groups of the lattice corpus; the last one only for bare library labels
 GROUPS = ((3, 2), (3, 3), (5, 2), (7, 2))
 LARGE = (3, 4)
+# group whose library-label diagrams make the large_diagrams section
+LARGE_DIAGRAMS = (5, 3)
 # groups of the diagram-pair corpus (hom systems and verdicts)
 PAIR_GROUPS = ((3, 2), (3, 3), (5, 2))
 BUDGET = 10**6
@@ -133,6 +140,11 @@ def sections(seed):
         h1.append([name, [module_record(tate_h1(lat, j)) for j in range(n + 1)]])
         h0.append([name, [module_record(tate_h0(lat, j)) for j in range(n + 1)]])
         diagrams.append([name, diagram_record(yakovlev_diagram(lat))])
+    large = []
+    p, n = LARGE_DIAGRAMS
+    params = GroupParams(p, n)
+    for a, b in _library_labels(n):
+        large.append([p, n, a, b, diagram_record(yakovlev_diagram(mab_lattice(params, a, b)))])
     homs, verdicts = [], []
     for name, d1, d2 in pair_corpus(rng):
         verdict, witness = _isomorphism_search(d1, d2, BUDGET, 0)
@@ -145,6 +157,7 @@ def sections(seed):
         "h1_levels": h1,
         "h0_levels": h0,
         "diagrams": diagrams,
+        "large_diagrams": large,
         "hom_systems": homs,
         "verdicts": verdicts,
     }
@@ -162,8 +175,8 @@ def main(argv=None):
     start = time.perf_counter()
     out = sections(args.seed)
     for name, records in out.items():
-        print(f"{name:12s} {len(records):4d} {digest(records)}")
-    print(f"{'all':12s} {sum(len(r) for r in out.values()):4d} {digest(out)}")
+        print(f"{name:14s} {len(records):4d} {digest(records)}")
+    print(f"{'all':14s} {sum(len(r) for r in out.values()):4d} {digest(out)}")
     print(f"# seed {args.seed}, {time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
