@@ -81,8 +81,11 @@ def _load_datum(obj):
         if key not in obj:
             raise ValueError(f"datum document is missing field {key!r}")
     params = GroupParams(_require_int(obj, "p", "datum"), _require_int(obj, "n", "datum"))
+    records = obj.get("ramified", [])
+    if not isinstance(records, list):
+        raise ValueError("ramified must be an array of objects")
     ramified = []
-    for pos, rec in enumerate(obj.get("ramified", [])):
+    for pos, rec in enumerate(records):
         if not isinstance(rec, dict) or set(rec) != _PLACE_KEYS:
             raise ValueError(
                 f"ramified[{pos}] must be an object with exactly "

@@ -339,24 +339,13 @@ def _word_matrices(source, target, q):
     s = len(gen_idx)
     g = source.gens
     gt = target.gens
-    orbit_cols = []
-    for j in range(s):
-        k = gen_idx[j]
-        for t in range(order):
-            power = source.action_power(t)
-            orbit_cols.append([power[r][k] for r in range(g)])
-    rel_cols = [
-        [source.relations[r][c] for r in range(g)] for c in range(g)
-    ]
-    aug = intmat.transpose(orbit_cols + rel_cols)
-    # one Hermite form of aug for all generators; a word only needs the
-    # orbit coordinates, the first s * order entries of a solution
-    w, coords = intmat.hnf_coordinates(aug, intmat.identity(g))
-    words = {}
-    for l, coeff in enumerate(coords):
-        if coeff is None:
-            raise DiagramError("generator not reached by the Gamma-orbit span")
-        words[l] = [sum(q * w[r][j] for j, q in coeff) for r in range(s * order)]
+    # column j * order + t is sigma^t applied to the j-th Gamma-generator
+    powers = [source.action_power(t) for t in range(order)]
+    orbit = [[power[r][k] for k in gen_idx for power in powers] for r in range(g)]
+    # one Hermite form for all generators, solving modulo the relations
+    words = intmat.hnf_coordinates(orbit, source.relations, intmat.identity(g))
+    if None in words:
+        raise DiagramError("generator not reached by the Gamma-orbit span")
     pmats = {}
     for l in range(g):
         for j in range(s):
@@ -467,11 +456,7 @@ def _build_hom_system(md1, md2):
     system = _HomSystem(q=q, layout=layout, hsyms=hsyms, total=total)
     if total == 0:
         return system
-    if rows:
-        h, _ = intmat.row_hnf(rows)
-        h = [row for row in h if any(row)]
-    else:
-        h = []
+    h = intmat.row_echelon(rows)
     if not h:
         lattice = intmat.identity(total)
     else:

@@ -7,13 +7,20 @@ plain lists of rows of Python ints, so all arithmetic is arbitrary
 precision by construction; no floating point appears anywhere.
 
 Conventions:
+  * Each Hermite or Smith form is one elimination over one matrix.  A
+    transform is an identity block appended to it, which takes every
+    operation: a caller appends exactly the part it reads.
   * ``row_hnf(A) -> (H, T)`` with ``T @ A == H``, H in upper row-echelon
     Hermite form (positive pivots, entries above a pivot reduced into
-    ``[0, pivot)``), T unimodular.
+    ``[0, pivot)``), T unimodular: it reduces [A | I].  ``row_echelon(A)``
+    is the transform-free entry point, the nonzero rows of H.
   * ``col_hnf(A) -> (H, W)`` with ``A @ W == H``, the transposed picture
     (pivot rows strictly increasing column by column, zero columns last).
   * ``snf(A) -> (D, U, V)`` with ``U @ A @ V == D`` diagonal,
-    ``d_1 | d_2 | ...``, all transforms unimodular.
+    ``d_1 | d_2 | ...``, all transforms unimodular: it reduces
+    [[A, I], [I, 0]].
+  * ``hnf_coordinates(A, R, bs)`` solves A x == b modulo span(R) for every
+    b in bs, with a transform for A's columns only.
   * ``solve_exact(A, B)`` is ``factor_full_column_rank(A)`` followed by
     ``solve_factored(F, B)``: a caller that solves several right-hand sides
     against one A at different times factors A once and keeps F.
@@ -34,7 +41,7 @@ def shape(a):
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return _append_identity([[]] * n, 0)
 
 
 def zeros(r, c):
@@ -115,53 +122,78 @@ def is_identity(a):
 
 
 def _row_sub(a, i, k, q):
-    """a[i] -= q * a[k], in place."""
-    ai, ak = a[i], a[k]
-    for j in range(len(ai)):
-        ai[j] -= q * ak[j]
+    """a[i] -= q * a[k]."""
+    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
 
 
-def row_hnf(a):
-    """Upper-echelon Hermite form by row operations: returns (H, T), T@a == H."""
-    m, n = shape(a)
-    h = copy_mat(a)
-    t = identity(m)
+def _append_identity(rows, width):
+    """[rows | I]: a copy of each row (of length ``width``) followed by the
+    matching unit row, the transform block of an elimination."""
+    pad = [0] * len(rows)
+    out = [row + pad for row in rows]
+    for i, row in enumerate(out):
+        row[width + i] = 1
+    return out
+
+
+def _hermite(rows, width):
+    """Reduce ``rows`` in place to the upper-echelon Hermite form of their
+    first ``width`` columns, nonzero rows first; returns the rank.  Row
+    operations act on whole rows, so the columns past ``width`` carry the
+    transform."""
+    m = len(rows)
     r = 0
-    for c in range(n):
+    for c in range(width):
         if r == m:
             break
         # gcd loop: drive column c below row r to a single pivot at row r
         while True:
-            nz = [i for i in range(r, m) if h[i][c]]
+            nz = [i for i in range(r, m) if rows[i][c]]
             if not nz:
                 break
-            i0 = min(nz, key=lambda i: abs(h[i][c]))
+            i0 = min(nz, key=lambda i: abs(rows[i][c]))
             if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-                t[r], t[i0] = t[i0], t[r]
+                rows[r], rows[i0] = rows[i0], rows[r]
             clean = True
-            piv = h[r][c]
+            piv = rows[r][c]
             for i in range(r + 1, m):
-                if h[i][c]:
-                    q = h[i][c] // piv
-                    _row_sub(h, i, r, q)
-                    _row_sub(t, i, r, q)
-                    if h[i][c]:
+                if rows[i][c]:
+                    _row_sub(rows, i, r, rows[i][c] // piv)
+                    if rows[i][c]:
                         clean = False
             if clean:
                 break
-        if r < m and h[r][c]:
-            if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
-                t[r] = [-x for x in t[r]]
-            piv = h[r][c]
+        if rows[r][c]:
+            if rows[r][c] < 0:
+                rows[r] = [-x for x in rows[r]]
+            piv = rows[r][c]
             for i in range(r):
-                q = h[i][c] // piv
+                q = rows[i][c] // piv
                 if q:
-                    _row_sub(h, i, r, q)
-                    _row_sub(t, i, r, q)
+                    _row_sub(rows, i, r, q)
             r += 1
-    return h, t
+    return r
+
+
+def row_hnf(a):
+    """Upper-echelon Hermite form by row operations: returns (H, T), T@a == H;
+    one elimination of [a | I_m], whose identity block becomes T."""
+    n = shape(a)[1]
+    rows = _append_identity(a, n)
+    _hermite(rows, n)
+    t = []
+    for row in rows:  # split in place, without a second copy of the block
+        t.append(row[n:])
+        del row[n:]
+    return rows, t
+
+
+def row_echelon(a):
+    """The nonzero rows of the row Hermite form H of a; their number is the
+    rank.  No transform is formed."""
+    h = copy_mat(a)
+    del h[_hermite(h, shape(a)[1]) :]
+    return h
 
 
 def col_hnf(a):
@@ -170,24 +202,14 @@ def col_hnf(a):
     return transpose(ht), transpose(t)
 
 
-def nonzero_cols(a):
-    """Indices of columns of ``a`` that contain a nonzero entry."""
-    m, n = shape(a)
-    return [j for j in range(n) if any(a[i][j] for i in range(m))]
-
-
 def hnf_cols(a):
     """Column HNF basis of the column span (zero columns dropped)."""
-    h, _ = col_hnf(a)
-    keep = nonzero_cols(h)
-    return [[row[j] for j in keep] for row in h]
+    h = row_echelon(transpose(a))
+    return transpose(h) if h else [[] for _ in a]
 
 
 def rank(a):
-    if not a or not a[0]:
-        return 0
-    h, _ = row_hnf(a)
-    return sum(1 for row in h if any(row))
+    return len(row_echelon(a))
 
 
 def kernel(a, ncols=None):
@@ -210,23 +232,16 @@ def kernel(a, ncols=None):
 def snf(a):
     """Smith normal form with transforms: (D, U, V), U@a@V == D.
 
-    D is diagonal with nonnegative entries and d_i | d_{i+1}.
+    D is diagonal with nonnegative entries and d_i | d_{i+1}.  One
+    elimination of [[a, I_m], [I_n, 0]] (the zero corner is not stored): row
+    operations act on the first m rows and carry U, column operations act
+    on the first n columns and carry V.
     """
     m, n = shape(a)
-    d = copy_mat(a)
-    u = identity(m)
-    v = identity(n)
-
-    def col_sub(mat, j, k, q):
-        for row in mat:
-            row[j] -= q * row[k]
-
-    def swap_cols(mat, j, k):
-        for row in mat:
-            row[j], row[k] = row[k], row[j]
+    d = _append_identity(a, n) + identity(n)
 
     def move_smallest_to_pivot(t):
-        """Swap a nonzero entry of d[t:, t:] of least absolute value (the
+        """Swap a nonzero entry of d[t:m, t:n] of least absolute value (the
         first one in row-major order) to (t, t); False if there is none."""
         best = None
         for i in range(t, m):
@@ -244,10 +259,9 @@ def snf(a):
         _, bi, bj = best
         if bi != t:
             d[t], d[bi] = d[bi], d[t]
-            u[t], u[bi] = u[bi], u[t]
         if bj != t:
-            swap_cols(d, t, bj)
-            swap_cols(v, t, bj)
+            for row in d:
+                row[t], row[bj] = row[bj], row[t]
         return True
 
     t = 0
@@ -256,15 +270,13 @@ def snf(a):
             # clear column t below the pivot
             for i in range(t + 1, m):
                 if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    _row_sub(d, i, t, q)
-                    _row_sub(u, i, t, q)
+                    _row_sub(d, i, t, d[i][t] // d[t][t])
             # clear row t right of the pivot
             for j in range(t + 1, n):
                 if d[t][j]:
                     q = d[t][j] // d[t][t]
-                    col_sub(d, j, t, q)
-                    col_sub(v, j, t, q)
+                    for row in d:
+                        row[j] -= q * row[t]
             dirty = any(d[i][t] for i in range(t + 1, m)) or any(
                 d[t][j] for j in range(t + 1, n)
             )
@@ -281,7 +293,6 @@ def snf(a):
                 if row[j] % piv:
                     # fold row i into row t and restart elimination at t
                     _row_sub(d, t, i, -1)
-                    _row_sub(u, t, i, -1)
                     fixed = False
                     break
             if not fixed:
@@ -289,10 +300,15 @@ def snf(a):
         if fixed:
             if d[t][t] < 0:
                 d[t] = [-x for x in d[t]]
-                u[t] = [-x for x in u[t]]
             t += 1
             if t == m or t == n:
                 break
+    v = d[m:]
+    del d[m:]
+    u = []
+    for row in d:  # split in place, as in row_hnf
+        u.append(row[n:])
+        del row[n:]
     return d, u, v
 
 
@@ -380,42 +396,39 @@ def solve_exact(a, b):
     return solve_factored(factor_full_column_rank(a), b)
 
 
-def hnf_coordinates(a, bs):
-    """Reduce every column b in ``bs`` against one column Hermite form of a.
+def hnf_coordinates(a, rel, bs):
+    """Solve a @ x == b modulo the column span of ``rel``, for every column b in ``bs``.
 
-    Returns (W, coords) with a @ W == H for the column HNF H of ``a``.
-    ``coords[k]`` lists the pairs (j, q), q != 0, with bs[k] == sum q . H[:, j],
-    so x = sum q . W[:, j] solves a @ x == bs[k]; it is None when bs[k] is
-    outside the column span.  ``a`` may be rank deficient; with no columns
-    (or no rows) W is empty and only zero right-hand sides are reachable.
+    One elimination of [a | rel]^T on its m columns, with a transform block
+    for a's columns only, then each b is reduced against its pivots.  Returns
+    one x per b, or None when b is outside span(a) + span(rel).  ``a`` may be
+    rank deficient, and ``a`` or ``rel`` may have no columns.
     """
-    m, n = shape(a)
-    if n == 0:
-        return [], [None if any(b) else [] for b in bs]
-    h, w = col_hnf(a)  # a @ w = h
-    # echelon pivot columns in order: (column, pivot row, pivot, column below it)
+    n = shape(a)[1]
+    m = len(a) or len(rel)
+    rows = _append_identity(transpose(a), m) + [col + [0] * n for col in transpose(rel)]
+    # echelon pivots in order: (pivot column, pivot, row from it, coefficients)
     pivots = []
-    for j in range(n):
-        i = next((r for r in range(m) if h[r][j]), None)
-        if i is not None:
-            pivots.append((j, i, h[i][j], [h[k][j] for k in range(i, m)]))
-    coords = []
+    for row in rows[: _hermite(rows, m)]:
+        i = next(k for k in range(m) if row[k])
+        pivots.append((i, row[i], row[i:m], row[m:]))
+    out = []
     for b in bs:
         res = b[:]
-        coeff = []
-        for j, i, piv, col in pivots:
+        x = [0] * n
+        for i, piv, tail, coeffs in pivots:
             q, r = divmod(res[i], piv)
             if r:
                 # pivot does not divide: b may still be reachable only if later
-                # columns fix it, but echelon pivot rows are increasing, so no.
-                coeff = None
+                # rows fix it, but echelon pivot columns are increasing, so no.
+                x = None
                 break
             if q:
-                coeff.append((j, q))
-                for k, x in enumerate(col, i):
-                    res[k] -= q * x
-        coords.append(None if coeff is None or any(res) else coeff)
-    return w, coords
+                for k, y in enumerate(tail, i):
+                    res[k] -= q * y
+                x = [s + q * c for s, c in zip(x, coeffs)]
+        out.append(None if x is None or any(res) else x)
+    return out
 
 
 def express_in_colspan(a, b):
@@ -423,10 +436,7 @@ def express_in_colspan(a, b):
 
     ``a`` may be rank deficient; ``b`` is a single column (list).
     """
-    w, (coeff,) = hnf_coordinates(a, [b])
-    if coeff is None:
-        return None
-    return [sum(q * row[j] for j, q in coeff) for row in w]
+    return hnf_coordinates(a, [], [b])[0]
 
 
 def det_mod(a, m):
@@ -636,15 +646,12 @@ def hnf_p_saturated(cols, p):
     input span with quotient of p-power order; equivalently, the input span
     after localization at p, with each elementary divisor replaced by its
     p-part.  Zero columns are dropped.  An input that already is that
-    basis (diagonal standard relations, their sums) is returned as a copy
-    without any normal form.  A caller that knows a power p^e killing the
-    quotient (so the span contains p^e . Z^m) gets the same basis from
+    basis is returned as a copy without any normal form.  A caller that
+    knows a power p^e killing the quotient gets the same basis from
     :func:`hnf_mod_prime_power`, without a Smith form or transforms.  Its one
-    caller in the package is ``FiniteGammaModule.__init__``: the level
-    relations of H^1 and H^0, standard, minimized and summed modules arrive
-    as that basis already, and the full path serves the others, such as the
-    anchored levels that ``sunits`` predicts, whose constructor is given no
-    power of p that kills them.
+    caller in the package is ``FiniteGammaModule.__init__``, and every
+    module the package builds arrives as that basis already, so the Smith
+    path serves only relations handed to the public constructor.
     """
     m, n = shape(cols)
     if n == 0 or m == 0:

@@ -207,9 +207,7 @@ def fixed_sublattice(lattice, j):
         return GammaLattice(lattice.params, [], _trusted=True), 0
     image = intmat.mat_mul(lattice.action, fixed_basis)
     sub_action = intmat.solve_exact(fixed_basis, image)
-    sub = GammaLattice(lattice.params, sub_action, _trusted=True)
-    sub.__dict__["basis_in_parent"] = fixed_basis
-    return sub, f
+    return GammaLattice(lattice.params, sub_action, _trusted=True), f
 
 
 def direct_sum(lattices):

@@ -24,6 +24,7 @@ from .finmod import recognize_standard_sum
 from .groupring import GroupParams
 
 SUITES = ("lemma", "stability", "corollary")
+STABILITY_TRIALS = 200
 
 
 def suite_lemma(seed=0):
@@ -74,8 +75,9 @@ def _stability_variant(rng, lat, params):
     return lat
 
 
-def suite_stability(seed=0, trials=200):
-    """Permutation summands and base changes leave the diagram fixed."""
+def suite_stability(seed=0):
+    """Permutation summands and base changes leave the diagram fixed, over
+    ``STABILITY_TRIALS`` seeded trials spread across the library labels."""
     rng = random.Random(seed)
     p = 3
     cases = []
@@ -83,8 +85,8 @@ def suite_stability(seed=0, trials=200):
         params = GroupParams(p, n)
         for a, b in diagrams._library_labels(n):
             cases.append((params, a, b))
-    per_case = [trials // len(cases)] * len(cases)
-    for i in range(trials - sum(per_case)):
+    per_case = [STABILITY_TRIALS // len(cases)] * len(cases)
+    for i in range(STABILITY_TRIALS - sum(per_case)):
         per_case[i] += 1
     checks = []
     for (params, a, b), count in zip(cases, per_case):

@@ -216,7 +216,9 @@ def _anchored_level(datum, j, blocks):
     annihilated by max(p^j, core) / core, for the core order of
     ``_core_order``; each block relation also feeds -max(p^j, core) /
     max(min(p^j, f), core) into it, where f is the place's decomposition
-    order.
+    order.  The relations are block triangular with a p-power diagonal, so
+    their determinant p^e kills the level, and their Hermite form modulo
+    p^e is the saturated one the constructor would compute.
     """
     params = datum.params
     sub = params.p**j
@@ -228,6 +230,8 @@ def _anchored_level(datum, j, blocks):
         feed = max(sub, core) // max(min(sub, place.decomposition_order), core)
         relations[0][offset : offset + block.gens] = [-feed] * block.gens
         offset += block.gens
+    e = sum(intmat.p_valuation(row[i], params.p) for i, row in enumerate(relations))
+    relations = intmat.hnf_mod_prime_power(relations, params.p, e)
     return FiniteGammaModule(params, len(action), relations, action)
 
 

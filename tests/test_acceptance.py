@@ -48,7 +48,7 @@ def test_criterion_1_ladder_tables():
 
 
 def test_criterion_2_diagram_stability():
-    checks = selftest.suite_stability(seed=0, trials=200)
+    checks = selftest.suite_stability(seed=0)
     assert _failures(checks) == []
     trial_total = sum(int(detail.split("/")[0]) for _, _, detail in checks)
     assert trial_total == 200

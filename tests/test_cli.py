@@ -161,6 +161,16 @@ class TestPredictCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("ramified", [5, None, {"inertia_order": 3}, "places"])
+    def test_ramified_must_be_an_array(self, capsys, tmp_path, ramified):
+        payload = dict(GOOD_DATUM)
+        payload["ramified"] = ramified
+        path = write_datum(tmp_path, payload)
+        code, out, err = run(capsys, ["predict", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert "ramified must be an array" in err
+
     def test_boolean_masquerading_as_int_exits_two(self, capsys, tmp_path):
         payload = dict(GOOD_DATUM)
         payload["r1"] = True

@@ -107,6 +107,55 @@ class TestSmithTransformsPinned:
         assert hashlib.sha256(text.encode()).hexdigest() == SNF_PIN
 
 
+def row_hnf_pin_corpus():
+    """200 seeded matrices for the pinned Hermite transforms: dense small-entry
+    matrices of many shapes, rank-deficient ones (last row a combination of
+    the first two), sparse ones with p-divisible and 40-bit entries, and the
+    transposed s - I of permutation actions, whose kernels the lattices take
+    from T."""
+    rng = random.Random(20261020)
+    for trial in range(200):
+        kind = trial % 4
+        rows, cols = rng.randrange(0, 8), rng.randrange(0, 8)
+        if kind == 0:
+            yield random_matrix(rng, rows, cols, -2, 2)
+        elif kind == 1:
+            a = random_matrix(rng, rows, cols)
+            if rows >= 3:
+                a[-1] = [2 * x - y for x, y in zip(a[0], a[1])]
+            yield a
+        elif kind == 2:
+            p = (3, 5, 7)[trial % 3]
+            bound = 2**40 if trial % 8 == 2 else 4
+            yield [
+                [rng.choice((0, 0, 0, rng.randint(-bound, bound) * p ** rng.randrange(3)))
+                 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        else:
+            k = rng.randrange(1, 10)
+            perm = rng.sample(range(k), k)
+            yield [[int(perm[c] == r) - int(c == r) for r in range(k)] for c in range(k)]
+
+
+# SHA-256 of the (H, T) that ``row_hnf`` returned on ``row_hnf_pin_corpus()``
+# when it still updated T in lockstep with H; kernel bases and factors come
+# from T, so equal digests mean the same H^1 presentations.
+ROW_HNF_PIN = "8f25268d50a82e7b5c380c356ef48d184193956b15e39884c28f321307aae284"
+
+
+class TestHermiteTransformsPinned:
+    def test_transforms_on_the_seeded_corpus_are_unchanged(self):
+        out = []
+        for a in row_hnf_pin_corpus():
+            h, t = intmat.row_hnf(a)
+            assert intmat.mat_mul(t, a) == h
+            assert intmat.row_echelon(a) == [row for row in h if any(row)]
+            out.append([h, t])
+        text = json.dumps(out, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == ROW_HNF_PIN
+
+
 class TestHermiteForm:
     def test_row_hnf_transform_and_echelon_shape(self):
         rng = random.Random(11)
@@ -240,14 +289,6 @@ def in_span_by_smith(a, b):
 class TestHnfCoordinates:
     """The many-column reduction against one Hermite form, per column."""
 
-    @staticmethod
-    def solutions(a, bs):
-        w, coords = intmat.hnf_coordinates(a, bs)
-        return [
-            None if c is None else [sum(q * row[j] for j, q in c) for row in w]
-            for c in coords
-        ]
-
     def test_agrees_with_single_column_solve(self):
         rng = random.Random(53)
         for trial in range(40):
@@ -261,7 +302,7 @@ class TestHnfCoordinates:
             bs = [[0] * rows]  # zero right-hand side
             bs += [intmat.mat_vec(a, [rng.randint(-3, 3) for _ in range(cols)]) for _ in range(3)]
             bs += [[rng.randint(-5, 5) for _ in range(rows)] for _ in range(3)]
-            many = self.solutions(a, bs)
+            many = intmat.hnf_coordinates(a, [], bs)
             assert many == [intmat.express_in_colspan(a, b) for b in bs]
             for b, x in zip(bs, many):
                 assert (x is not None) == in_span_by_smith(a, b)
@@ -269,23 +310,44 @@ class TestHnfCoordinates:
                     assert intmat.mat_vec(a, x) == b
             assert many[0] == [0] * cols
 
+    def test_solves_modulo_the_relations(self):
+        # reducing a and rel together gives the same elimination as the
+        # column solve on [a | rel], restricted to a's coordinates
+        rng = random.Random(59)
+        reached = missed = 0
+        for trial in range(40):
+            rows, cols = SHAPES[trial % len(SHAPES)]
+            if trial % 5 == 0:
+                cols = 0
+            a = random_matrix(rng, rows, cols, lo=-4, hi=4)
+            rel = random_matrix(rng, rows, rng.randrange(1, 4), lo=-6, hi=6)
+            both = intmat.hstack(a, rel)
+            width = cols + len(rel[0])
+            bs = [[0] * rows]
+            bs += [intmat.mat_vec(both, [rng.randint(-3, 3) for _ in range(width)]) for _ in range(3)]
+            bs += [[rng.randint(-5, 5) for _ in range(rows)] for _ in range(3)]
+            for b, x in zip(bs, intmat.hnf_coordinates(a, rel, bs)):
+                full = intmat.express_in_colspan(both, b)
+                assert x == (None if full is None else full[:cols])
+                reached += x is not None
+                missed += x is None
+        assert reached and missed
+
     def test_unreachable_columns_give_none(self):
         a = [[2, 4], [0, 6], [0, 0]]
-        w, coords = intmat.hnf_coordinates(a, [[1, 0, 0], [0, 0, 1], [2, 6, 0], [0, 0, 0]])
-        assert coords[0] is None  # pivot 2 does not divide 1
-        assert coords[1] is None  # residue left in a zero row
-        assert coords[2] is not None and coords[3] == []
+        xs = intmat.hnf_coordinates(a, [], [[1, 0, 0], [0, 0, 1], [2, 6, 0], [0, 0, 0]])
+        assert xs[0] is None  # pivot 2 does not divide 1
+        assert xs[1] is None  # residue left in a zero row
+        assert intmat.mat_vec(a, xs[2]) == [2, 6, 0] and xs[3] == [0, 0]
 
     def test_zero_column_matrix(self):
         for a in ([], [[], []]):
-            w, coords = intmat.hnf_coordinates(a, [[0, 0], [0, 1]])
-            assert w == [] and coords == [[], None]
+            assert intmat.hnf_coordinates(a, [], [[0, 0], [0, 1]]) == [[], None]
             assert intmat.express_in_colspan(a, [0, 0]) == []
             assert intmat.express_in_colspan(a, [1, 0]) is None
 
     def test_no_right_hand_sides(self):
-        w, coords = intmat.hnf_coordinates([[1, 2], [3, 4]], [])
-        assert coords == []
+        assert intmat.hnf_coordinates([[1, 2], [3, 4]], [], []) == []
 
 
 class TestPSaturatedForm:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cyclat import diagrams
+from cyclat import diagrams, intmat
 from cyclat.finmod import snf_invariants
 from cyclat.groupring import GroupParams
 from cyclat.sunits import (
@@ -192,6 +192,43 @@ class TestWjPresentation:
     def test_partially_ramified_tower(self):
         d = datum(P3N2, ramified=[(3, 9)])
         assert snf_invariants(wj_presentation(d, 2)) == (9,)
+
+    def test_anchored_levels_arrive_saturated(self, monkeypatch):
+        # each level's relations are reduced modulo their determinant p^e,
+        # which must give the p-saturated Hermite form over Z of the raw
+        # relations, so the constructor takes no Smith form
+        seen, smith = [], []
+        reduce_mod, smith_form = intmat.hnf_mod_prime_power, intmat.snf
+
+        def recording(cols, p, e):
+            out = reduce_mod(cols, p, e)
+            seen.append((cols, out))
+            return out
+
+        def counting(a):
+            smith.append(a)
+            return smith_form(a)
+
+        rng = random.Random(12)
+        for _ in range(30):
+            p, n = rng.choice((3, 5)), rng.randrange(1, 4)
+            places = []
+            for _ in range(rng.randrange(1, 4)):
+                c = rng.randrange(1, n + 1)
+                places.append((p ** rng.randrange(1, c + 1), p**c))
+            counts = [rng.choice((0, 0, 1, 2)) for _ in range(n + 1)]
+            d = datum(GroupParams(p, n), ramified=places, s_counts=counts)
+            for j in range(1, n + 1):
+                seen.clear()
+                smith.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(intmat, "hnf_mod_prime_power", recording)
+                    patch.setattr(intmat, "snf", counting)
+                    level = wj_presentation(d, j)
+                assert len(seen) == 1 and smith == []
+                raw, out = seen[0]
+                assert out == intmat.hnf_p_saturated(raw, p)
+                assert level.relations == out
 
     def test_rejects_unsupported_regime(self):
         d = datum(P3N1, ramified=[(3, 3)], regime="General")

@@ -12,15 +12,18 @@ exactly when they print the same lines, so an old-versus-new check is
     diff <(cd old && python3 tools/differential.py) \\
          <(cd new && python3 tools/differential.py)
 
-The records are library ideal bases, level relations (saturated Hermite
-forms), level divisors and invariants, minimized diagrams with their rung
-matrices, hom-system bases and pivots, and isomorphism verdicts with their
-witnesses.  Most of these are unique normal forms, which do not depend on how
-they were computed.  The rung matrices are the exception: ``diagram`` prints
-them in minimized coordinates, which come from the Smith transform that
-``FiniteGammaModule.minimized`` takes of the saturated relations, so they
-move whenever that transform's pivot sequence moves.  That is why they are
-recorded.  The ``large_diagrams`` section holds the minimized diagrams of the
+The records are library ideal bases, kernel bases, level relations
+(saturated Hermite forms), level divisors and invariants, minimized diagrams
+with their rung matrices, hom-system bases and pivots, and isomorphism
+verdicts with their witnesses.  Most of these are unique normal forms, which
+do not depend on how they were computed.  Two are not.  The rung matrices
+are printed by ``diagram`` in minimized coordinates, which come from the
+Smith transform that ``FiniteGammaModule.minimized`` takes of the saturated
+relations, so they move whenever that transform's pivot sequence moves.  The
+``kernel_bases`` section holds ``intmat.kernel`` of each corpus lattice's
+norm_matrix(j) and moved_matrix(j), which are rows of ``row_hnf``'s
+transform; the H^1 presentations are written in those bases, so a drift in
+the Hermite transform shows there under its own name.  The ``large_diagrams`` section holds the minimized diagrams of the
 six library labels at (5, 3), rank up to 125.  Each section prints its own
 digest, so a mismatch names the layer where the outputs part.
 """
@@ -46,6 +49,7 @@ from cyclat.diagrams import (  # noqa: E402
     library_diagram,
 )
 from cyclat.groupring import GroupParams  # noqa: E402
+from cyclat.intmat import kernel  # noqa: E402
 from cyclat.lattices import (  # noqa: E402
     direct_sum,
     mab_lattice,
@@ -129,7 +133,7 @@ def pair_corpus(rng):
 
 def sections(seed):
     rng = random.Random(seed)
-    ideals, h1, h0, diagrams = [], [], [], []
+    ideals, kernels, h1, h0, diagrams = [], [], [], [], []
     for p, n in GROUPS + (LARGE,):
         params = GroupParams(p, n)
         for a, b in _library_labels(n):
@@ -137,6 +141,15 @@ def sections(seed):
             ideals.append([p, n, a, b, lat.basis_in_group_ring, lat.action])
     for name, lat in lattice_corpus(rng):
         n = lat.params.n
+        kernels.append(
+            [
+                name,
+                [
+                    [kernel(m, ncols=lat.rank) for m in (lat.norm_matrix(j), lat.moved_matrix(j))]
+                    for j in range(1, n + 1)
+                ],
+            ]
+        )
         h1.append([name, [module_record(tate_h1(lat, j)) for j in range(n + 1)]])
         h0.append([name, [module_record(tate_h0(lat, j)) for j in range(n + 1)]])
         diagrams.append([name, diagram_record(yakovlev_diagram(lat))])
@@ -154,6 +167,7 @@ def sections(seed):
         homs.append([name, system.total, system.basis, system.pivots])
     return {
         "ideals": ideals,
+        "kernel_bases": kernels,
         "h1_levels": h1,
         "h0_levels": h0,
         "diagrams": diagrams,
