@@ -166,7 +166,14 @@ def _diagram_document(diagram):
     }
 
 
+# the options of the other kind, which a diagram of this kind must not be given
+_FOREIGN_FLAGS = {"perm": ("a", "b"), "mab": ("i",)}
+
+
 def cmd_diagram(args):
+    for name in _FOREIGN_FLAGS[args.kind]:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--kind {args.kind} does not take --{name}")
     params = GroupParams(args.p, args.n)
     if args.kind == "perm":
         index = 0 if args.i is None else args.i

@@ -332,9 +332,23 @@ def _word_matrices(source, target, q):
     target relations, where P is the word of e_l in the sigma-orbit of the
     Gamma-generators, evaluated on the target action.  Entries are reduced
     mod q.
+
+    The orbit runs over t < ``source.sigma_order()``, not t < p^n: sigma^t
+    repeats with that period on the source, so the shorter orbit spans the
+    same submodule.  The words are then different ones, but the solution
+    lattice of ``_build_hom_system`` does not depend on which words are
+    used.  Let y be in it, h the diagram hom its words give, and
+    d_j = y_j - h(g_j).  Evaluating the words of the Gamma-generators g_j
+    themselves gives B d = 0 with the block operator
+    B = [sum_t w^(g_j)_(j', t) A_T^t].  The g_j are an F_p-basis of
+    M / (p, sigma - 1)M, so each coefficient sum sum_t w^(g_j)_(j', t) is
+    delta_(j j') mod p, and A_T is unipotent mod p; hence B = I + nilpotent
+    mod p, which is invertible on T^s by Nakayama, and d = 0 modulo the
+    target relations.  So the lattice is {y : y extends to a diagram hom}
+    whatever the words are, and only the candidate maps change, by
+    multiples of the target relations.
     """
-    params = source.params
-    order = params.order
+    order = source.sigma_order()
     gen_idx = gamma_generator_indices(source)
     s = len(gen_idx)
     g = source.gens
@@ -414,17 +428,21 @@ def _build_hom_system(md1, md2):
 
     The unknowns are the images, in each target level, of the chosen
     Gamma-generators of the source level; every level hom is a fixed linear
-    form in them (``_word_matrices``).  A tuple of level homs is a diagram
-    hom exactly when one condition holds on every commuting square:
+    form in them (``_word_matrices``, whose words run over the source
+    level's own sigma-order).  A tuple of level homs is a diagram hom
+    exactly when one condition holds on every commuting square:
     h_out . a - b . h_in = 0 modulo the target relations, for
     a = the source relations and b = 0 (h kills them), a = b = sigma on each
     side, and the up and down rungs.  ``_square_rows`` turns each square into
     rows of R, and the homs are {y : R y = 0 mod q} with q = p^n.
 
-    That lattice is fixed by the set of constraints, not by how its rows are
-    written, and ``basis`` is its column Hermite form, which is unique; so
-    negating or reordering rows leaves ``basis`` and ``pivots`` unchanged.
-    The lattice contains q . Z^total, so that form is taken modulo q.
+    That lattice is {y : y extends to a diagram hom}, whichever words
+    express the level homs (``_word_matrices`` has the argument), and it is
+    fixed by the set of constraints, not by how its rows are written.
+    ``basis`` is its column Hermite form, which is unique; so shortening the
+    orbits, negating or reordering rows leaves ``total``, ``basis`` and
+    ``pivots`` unchanged.  The lattice contains q . Z^total, so that form is
+    taken modulo q.
     """
     params = md1.params
     q = params.p**params.n

@@ -203,6 +203,24 @@ class FiniteGammaModule:
         inv = self.invariants()
         return intmat.p_valuation(inv[0], self.params.p) if inv else 0
 
+    def sigma_order(self):
+        """Order of sigma on M: p^(n - j*), j* the largest j with s_j = 1 on M.
+
+        s_j acts trivially exactly when (s_j - 1)M = 0, that is when
+        M / (s_j - 1)M has the order of M, and equal divisor lists mean
+        equal orders.  The order of sigma is a power of p dividing p^n, so
+        s_j = sigma^(p^(n-j)) is trivial for j <= j* and for no larger j,
+        and the scan runs down from j = n.  The zero module and trivial
+        actions give 1.  Cached, like the divisor lists it reads.
+        """
+        cache = self.__dict__.get("_sigma_order")
+        if cache is None:
+            p, n = self.params.p, self.params.n
+            full = self.level_divisors(0)
+            top = next(j for j in range(n, -1, -1) if self.level_divisors(j) == full)
+            cache = self.__dict__["_sigma_order"] = p ** (n - top)
+        return cache
+
     def action_power(self, k):
         cache = self.__dict__.setdefault("_power_cache", {})
         if self.gens == 0:
@@ -252,6 +270,8 @@ class FiniteGammaModule:
         k = len(keep)
         relations = [[moduli[i] if i == c else 0 for c in range(k)] for i in range(k)]
         mod = FiniteGammaModule(self.params, k, relations, act, _trusted=True)
+        # isomorphic modules have the same divisor lists, so both read one cache
+        mod.__dict__["_level_divisors"] = self.__dict__.setdefault("_level_divisors", {})
         cache = (mod, to_min, from_min)
         self.__dict__["_minimized"] = cache
         return cache

@@ -84,6 +84,8 @@ def _qualifies(p, q):
 def _scan(p, bound):
     """(count of primes q = 1 (mod p) below bound, the qualifying ones ascending)."""
     _check_p(p)
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     if bound > _MAX_INPUT:
         raise ValueError("bound exceeds the supported 64-bit range")
     scanned = 0

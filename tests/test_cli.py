@@ -67,6 +67,20 @@ class TestDiagramCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--kind", "perm", "--i", "1", "--a", "2"], "--a"),
+            (["--kind", "perm", "--b", "0"], "--b"),
+            (["--kind", "mab", "--a", "1", "--b", "0", "--i", "2"], "--i"),
+        ],
+    )
+    def test_rejects_the_other_kinds_flags(self, capsys, extra, flag):
+        code, out, err = run(capsys, ["diagram", "--p", "3", "--n", "2", *extra])
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["diagram", "--p", "3", "--n", "2", "--kind", "mab", "--a", "2", "--b", "0"]
         _, first, _ = run(capsys, argv)
@@ -211,6 +225,25 @@ class TestPrimesCommand:
     def test_rejects_even_p(self, capsys):
         code, _, _ = run(capsys, ["primes", "--p", "4", "--bound", "100"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["primes", "--p", "3", "--bound", "-5"],
+            ["primes", "--p", "3", "--bound", "-5", "--density"],
+            ["density", "--p", "3", "--bound", "-5"],
+        ],
+    )
+    def test_negative_bound_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
+
+    def test_zero_bound_lists_nothing(self, capsys):
+        code, out, _ = run(capsys, ["primes", "--p", "3", "--bound", "0"])
+        assert code == 0
+        assert out == ""
 
 
 class TestSelftestCommand:

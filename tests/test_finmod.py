@@ -17,7 +17,15 @@ from cyclat.finmod import (
     snf_invariants,
     standard_sum,
 )
+from cyclat.cohomology import tate_h1
+from cyclat.diagrams import _library_labels
 from cyclat.groupring import GroupParams
+from cyclat.lattices import (
+    direct_sum,
+    mab_lattice,
+    permutation_lattice,
+    random_unimodular_change,
+)
 
 
 def all_labels(params):
@@ -480,6 +488,91 @@ class TestLevelDivisors:
         assert recognize_standard_sum(m) == {(1, 0): 1, (2, 1): 1, (1, 2): 1}
         gamma_generator_indices(m)
         assert 1 <= len(calls) <= n + 1
+
+
+def _brute_sigma_order(module):
+    """Smallest t >= 1 with sigma^t - I zero modulo the relations."""
+    g = module.gens
+    return next(
+        t
+        for t in range(1, module.params.order + 1)
+        if module.is_zero_mat(intmat.mat_sub(module.action_power(t), intmat.identity(g)))
+    )
+
+
+class TestSigmaOrder:
+    def test_standard_module(self):
+        for p, n in ((3, 2), (3, 3), (5, 2)):
+            pr = GroupParams(p, n)
+            for a, j in all_labels(pr):
+                assert FiniteGammaModule.standard(pr, a, j).sigma_order() == p ** (n - j)
+
+    def test_zero_module_and_trivial_actions(self):
+        pr = GroupParams(3, 2)
+        assert FiniteGammaModule.zero(pr).sigma_order() == 1
+        trivial = FiniteGammaModule.from_invariant_relations(pr, [9, 3], [[1, 0], [0, 1]])
+        assert trivial.sigma_order() == 1
+        # exponent above p^n does not change the order of sigma
+        big = FiniteGammaModule.from_invariant_relations(pr, [27], [[1]])
+        assert big.sigma_order() == 1
+        assert standard_sum(pr, {(1, 2): 2, (2, 2): 1}).sigma_order() == 1
+
+    def test_standard_sum_takes_its_largest_summand_order(self):
+        pr = GroupParams(3, 3)
+        for multiset, order in (
+            ({(1, 0): 1, (2, 1): 1, (1, 3): 2}, 27),
+            ({(2, 1): 1, (1, 2): 2}, 9),
+            ({(1, 2): 1, (3, 3): 1}, 3),
+        ):
+            m = standard_sum(pr, multiset)
+            assert m.sigma_order() == order
+            assert scramble(m, 5).sigma_order() == order
+
+    def test_non_standard_modules_match_brute_force(self):
+        pr = GroupParams(3, 2)
+        # Z/9 with sigma = 4, of order 3 mod 9, and an F_3 Jordan block
+        for m in (
+            FiniteGammaModule(pr, 1, [[9]], [[4]]),
+            FiniteGammaModule(pr, 2, [[3, 0], [0, 3]], [[1, 1], [0, 1]]),
+        ):
+            assert m.sigma_order() == _brute_sigma_order(m) == 3
+
+    def test_h1_levels_of_base_changed_library_lattices(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for p, n in ((3, 2), (3, 3), (5, 2)):
+            pr = GroupParams(p, n)
+            for a, b in _library_labels(n):
+                lat = mab_lattice(pr, a, b)
+                lat = direct_sum([lat, permutation_lattice(pr, rng.randrange(n + 1))])
+                lat = random_unimodular_change(lat, rng.getrandbits(64))
+                for j in range(n + 1):
+                    h1 = tate_h1(lat, j)
+                    order = h1.sigma_order()
+                    assert order == _brute_sigma_order(h1), (p, n, a, b, j)
+                    seen.add(order)
+        # trivial and nontrivial actions both occur
+        assert {1, 3, 9} <= seen
+
+    def test_minimized_presentation_shares_the_divisor_lists(self, monkeypatch):
+        pr = GroupParams(3, 2)
+        m = scramble(standard_sum(pr, {(1, 0): 1, (2, 1): 1, (1, 2): 1}), 3)
+        divs = [m.level_divisors(j) for j in range(pr.n + 1)]
+        calls = []
+        original = intmat.smith_diagonal_mod_prime_power
+
+        def counting(a, p, e):
+            calls.append(intmat.shape(a))
+            return original(a, p, e)
+
+        monkeypatch.setattr(intmat, "smith_diagonal_mod_prime_power", counting)
+        mini = m.minimized()[0]
+        assert [mini.level_divisors(j) for j in range(pr.n + 1)] == divs
+        assert mini.sigma_order() == m.sigma_order() == 9
+        assert calls == []
+        # the shared lists are the ones the minimized presentation computes itself
+        fresh = FiniteGammaModule(pr, mini.gens, mini.relations, mini.action)
+        assert [fresh.level_divisors(j) for j in range(pr.n + 1)] == divs
 
 
 class TestExponentAboveGroupOrder:

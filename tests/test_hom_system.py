@@ -10,18 +10,19 @@ import random
 
 import pytest
 
-from cyclat import intmat
+from cyclat import diagrams, intmat
 from cyclat.cohomology import yakovlev_diagram
 from cyclat.diagrams import (
     YakovlevDiagram,
     _build_hom_system,
     _candidate_maps,
+    _isomorphism_search,
     _library_labels,
     _minimized_diagram,
     _word_matrices,
     library_diagram,
 )
-from cyclat.finmod import FiniteGammaModule, GammaMap
+from cyclat.finmod import FiniteGammaModule, GammaMap, standard_sum
 from cyclat.groupring import GroupParams
 from cyclat.lattices import (
     direct_sum,
@@ -169,3 +170,69 @@ def test_solution_lattice_is_the_hermite_form_over_z(monkeypatch):
         assert out == intmat.hnf_cols(intmat.hstack(cols, qfull)), name
         assert system.basis == out
         assert system.pivots == [out[i][i] for i in range(system.total)]
+
+
+def _full_orbits(monkeypatch):
+    """Unroll every Gamma-orbit to the group order p^n, whatever sigma's order."""
+    monkeypatch.setattr(FiniteGammaModule, "sigma_order", lambda self: self.params.order)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_sigma_order_words_give_the_same_solution_lattice(name, monkeypatch):
+    md1, md2 = (_minimized_diagram(d) for d in PAIRS[name])
+    short = _build_hom_system(md1, md2)
+    _full_orbits(monkeypatch)
+    full = _build_hom_system(md1, md2)
+    assert (short.total, short.basis, short.pivots) == (full.total, full.basis, full.pivots)
+
+
+def _search(d1, d2, budget, monkeypatch):
+    """(verdict, witness reduced by the target relations, candidates tested)."""
+    tested = []
+    original = diagrams._candidate_maps
+
+    def counting(*args):
+        tested.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(diagrams, "_candidate_maps", counting)
+    verdict, witness = _isomorphism_search(d1, d2, budget, 0)
+    if witness is not None:
+        targets = _minimized_diagram(d2).levels
+        witness = [
+            [tgt.reduce_vec(list(col)) for col in zip(*h)] for h, tgt in zip(witness, targets)
+        ]
+    return verdict, witness, len(tested)
+
+
+@pytest.mark.parametrize("budget", [30, 10**6])
+def test_sigma_order_words_give_the_same_search(budget, monkeypatch):
+    short = {name: _search(d1, d2, budget, monkeypatch) for name, (d1, d2) in PAIRS.items()}
+    _full_orbits(monkeypatch)
+    full = {name: _search(d1, d2, budget, monkeypatch) for name, (d1, d2) in PAIRS.items()}
+    assert short == full
+    # the searches that build a hom system test candidates
+    assert any(tested for _, _, tested in short.values())
+
+
+def test_trivially_acting_level_has_one_orbit_row_per_generator(monkeypatch):
+    params = GroupParams(5, 3)
+    source = standard_sum(params, {(1, 3): 1, (2, 3): 1, (3, 3): 1})
+    assert source.gens == 3 and source.sigma_order() == 1
+    seen = []
+    original = intmat._hermite
+
+    def recording(rows, width):
+        seen.append((len(rows), width))
+        return original(rows, width)
+
+    monkeypatch.setattr(intmat, "_hermite", recording)
+    gen_idx, pmats = _word_matrices(source, source, params.order)
+    assert len(gen_idx) == 3
+    # s . 1 orbit rows and one row per relation column, not s . p^n = 375 orbit rows
+    assert seen == [(3 * 1 + 3, 3)]
+    assert all(
+        pmats[(l, j)] == [[int(l == j and r == c) for c in range(3)] for r in range(3)]
+        for l in range(3)
+        for j in range(3)
+    )

@@ -89,6 +89,19 @@ class TestSearch:
     def test_empty_window(self):
         assert find_qualifying(3, 7).qualifying == ()
 
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_bounds_zero_and_one_are_empty_ranges(self, bound):
+        result = find_qualifying(3, bound)
+        assert result.qualifying == ()
+        assert result.scanned == 0
+
+    @pytest.mark.parametrize("bound", [-1, -5])
+    def test_rejects_negative_bound(self, bound):
+        with pytest.raises(ValueError, match="nonnegative"):
+            find_qualifying(3, bound)
+        with pytest.raises(ValueError, match="nonnegative"):
+            density_report(3, bound)
+
     def test_matches_oracle_on_larger_window(self):
         got = find_qualifying(3, 10**4).qualifying
         want = tuple(

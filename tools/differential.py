@@ -15,7 +15,11 @@ exactly when they print the same lines, so an old-versus-new check is
 The records are library ideal bases, kernel bases, level relations
 (saturated Hermite forms), level divisors and invariants, minimized diagrams
 with their rung matrices, hom-system bases and pivots, and isomorphism
-verdicts with their witnesses.  Most of these are unique normal forms, which
+verdicts with their witnesses at budget 10^6 (``verdicts``) and at budget 30
+(``verdicts_budget30``, where most pairs take the sampled path).  A witness
+is a hom, not a matrix: its columns are recorded reduced by the target
+level's relations, so two searches that find the same hom through different
+integer representatives agree.  Most of these are unique normal forms, which
 do not depend on how they were computed.  Two are not.  The rung matrices
 are printed by ``diagram`` in minimized coordinates, which come from the
 Smith transform that ``FiniteGammaModule.minimized`` takes of the saturated
@@ -65,6 +69,8 @@ LARGE_DIAGRAMS = (5, 3)
 # groups of the diagram-pair corpus (hom systems and verdicts)
 PAIR_GROUPS = ((3, 2), (3, 3), (5, 2))
 BUDGET = 10**6
+# budget of the sampled-search section: most pair hom groups exceed it
+SMALL_BUDGET = 30
 
 
 def lattice_corpus(rng):
@@ -106,6 +112,14 @@ def diagram_record(diagram):
         "downs": [m.matrix for m in md.downs],
         "invariants": [list(x) for x in diagram.level_invariants()],
     }
+
+
+def witness_record(witness, md2):
+    """Witness columns reduced by the target level's relations, so two
+    witnesses that are the same hom give the same record."""
+    if witness is None:
+        return None
+    return [[tgt.reduce_vec(list(col)) for col in zip(*h)] for h, tgt in zip(witness, md2.levels)]
 
 
 def pair_corpus(rng):
@@ -158,11 +172,12 @@ def sections(seed):
     params = GroupParams(p, n)
     for a, b in _library_labels(n):
         large.append([p, n, a, b, diagram_record(yakovlev_diagram(mab_lattice(params, a, b)))])
-    homs, verdicts = [], []
+    homs, verdicts, sampled = [], [], []
     for name, d1, d2 in pair_corpus(rng):
-        verdict, witness = _isomorphism_search(d1, d2, BUDGET, 0)
-        verdicts.append([name, verdict.name, witness])
         md1, md2 = _minimized_diagram(d1), _minimized_diagram(d2)
+        for budget, records in ((BUDGET, verdicts), (SMALL_BUDGET, sampled)):
+            verdict, witness = _isomorphism_search(d1, d2, budget, 0)
+            records.append([name, verdict.name, witness_record(witness, md2)])
         system = _build_hom_system(md1, md2)
         homs.append([name, system.total, system.basis, system.pivots])
     return {
@@ -174,6 +189,7 @@ def sections(seed):
         "large_diagrams": large,
         "hom_systems": homs,
         "verdicts": verdicts,
+        "verdicts_budget30": sampled,
     }
 
 
@@ -188,9 +204,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     start = time.perf_counter()
     out = sections(args.seed)
+    width = max(map(len, out))
     for name, records in out.items():
-        print(f"{name:14s} {len(records):4d} {digest(records)}")
-    print(f"{'all':14s} {sum(len(r) for r in out.values()):4d} {digest(out)}")
+        print(f"{name:{width}s} {len(records):4d} {digest(records)}")
+    print(f"{'all':{width}s} {sum(len(r) for r in out.values()):4d} {digest(out)}")
     print(f"# seed {args.seed}, {time.perf_counter() - start:.1f} s", file=sys.stderr)
 
 
