@@ -16,7 +16,7 @@ The records are library ideal bases, kernel bases, level relations
 (saturated Hermite forms), level divisors and invariants, minimized diagrams
 with their rung matrices, hom-system bases and pivots, and isomorphism
 verdicts with their witnesses at budget 10^6 (``verdicts``) and at budget 30
-(``verdicts_budget30``, where most pairs take the sampled path).  A witness
+(``verdicts_budget30``: a hom group of more than 30 elements is sampled).  A witness
 is a hom, not a matrix: its columns are recorded reduced by the target
 level's relations, so two searches that find the same hom through different
 integer representatives agree.  Most of these are unique normal forms, which
@@ -69,7 +69,7 @@ LARGE_DIAGRAMS = (5, 3)
 # groups of the diagram-pair corpus (hom systems and verdicts)
 PAIR_GROUPS = ((3, 2), (3, 3), (5, 2))
 BUDGET = 10**6
-# budget of the sampled-search section: most pair hom groups exceed it
+# budget of the section that exercises the sampled search
 SMALL_BUDGET = 30
 
 
