@@ -608,13 +608,20 @@ def _isomorphism_search(d1, d2, budget, seed):
     return IsoResult.UNKNOWN, None
 
 
+def _check_budget(budget):
+    """Reject a negative search budget; 0 is valid (sampling tests nothing)."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
 def diagram_isomorphic(d1, d2, budget=10**6, seed=0):
     """Decide isomorphism of two diagrams: Yes, No, or Unknown.
 
     No is returned only from genuine invariant mismatches or an exhausted
     search over the full hom space; Unknown means the sampling budget ran
-    out before a witness appeared.
+    out before a witness appeared.  A negative budget raises ValueError.
     """
+    _check_budget(budget)
     result, _ = _isomorphism_search(d1, d2, budget, seed)
     return result
 
@@ -698,8 +705,10 @@ def subtract_library(diagram, budget=10**6, seed=0):
     Recognizes every level as a sum of standard modules, solves the exact
     linear system for a library multiset reproducing all level types at
     once, and confirms by an isomorphism search against the canonical
-    library diagram.  Any failure along the way returns the input unmatched.
+    library diagram.  Any failure along the way returns the input unmatched;
+    a negative budget raises ValueError.
     """
+    _check_budget(budget)
     params = diagram.params
     n = params.n
     recog = []

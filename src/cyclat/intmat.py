@@ -7,6 +7,10 @@ plain lists of rows of Python ints, so all arithmetic is arbitrary
 precision by construction; no floating point appears anywhere.
 
 Conventions:
+  * The matrices are mostly zero, and the kernels skip zeros on both
+    sides: ``mat_mul`` runs over the nonzero entries of a and, listed once
+    per call, of each row of b, and every Hermite row operation runs over
+    the nonzero entries of its pivot row only.
   * Each Hermite or Smith form is one elimination over one matrix.  A
     transform is an identity block appended to it, which takes every
     operation: a caller appends exactly the part it reads.
@@ -34,6 +38,8 @@ helpers here assume non-degenerate input unless noted.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 
 def shape(a):
@@ -68,23 +74,30 @@ def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
 
-def mat_mul(a, b):
-    """Product a @ b, accumulated row by row over the nonzero entries of a.
+def _nonzeros(row):
+    """The nonzero (column, value) pairs of a row, in column order."""
+    return list(compress(enumerate(row), row))
 
-    Each row of the result is the sum of x * b[k] over the nonzero entries
-    x = a[i][k]; zeros cost nothing, which matters because the lattice
-    matrices upstream (actions, kernel bases, norms) are mostly zero.
+
+def mat_mul(a, b):
+    """Product a @ b over the nonzero entries of both factors.
+
+    Each row of b is listed once as its nonzero (column, value) pairs; a
+    row of the result then accumulates x * y over the pairs of b[k], for
+    every nonzero x = a[i][k].  Zeros cost nothing on either side, which
+    matters because the lattice matrices upstream (actions, kernel bases,
+    norms, transforms) are mostly zero.  Like ``zip``, a row of a longer
+    than b stops at the last row of b.
     """
     width = len(b[0]) if b else 0
+    pairs = [_nonzeros(brow) for brow in b]
     out = []
     for row in a:
         acc = [0] * width
-        for x, brow in zip(row, b):
+        for x, bk in zip(row, pairs):
             if x:
-                if x == 1:
-                    acc = [s + y for s, y in zip(acc, brow)]
-                else:
-                    acc = [s + x * y for s, y in zip(acc, brow)]
+                for c, y in bk:
+                    acc[c] += x * y
         out.append(acc)
     return out
 
@@ -139,8 +152,10 @@ def _append_identity(rows, width):
 def _hermite(rows, width):
     """Reduce ``rows`` in place to the upper-echelon Hermite form of their
     first ``width`` columns, nonzero rows first; returns the rank.  Row
-    operations act on whole rows, so the columns past ``width`` carry the
-    transform."""
+    operations span whole rows, so the columns past ``width`` carry the
+    transform, but each one runs over the nonzero entries of its pivot row
+    only: they are listed once per pass, and only for a pass that has a row
+    to operate on."""
     m = len(rows)
     r = 0
     for c in range(width):
@@ -154,12 +169,17 @@ def _hermite(rows, width):
             i0 = min(nz, key=lambda i: abs(rows[i][c]))
             if i0 != r:
                 rows[r], rows[i0] = rows[i0], rows[r]
-            clean = True
+            if len(nz) == 1:
+                break
             piv = rows[r][c]
-            for i in range(r + 1, m):
-                if rows[i][c]:
-                    _row_sub(rows, i, r, rows[i][c] // piv)
-                    if rows[i][c]:
+            pairs = _nonzeros(rows[r])
+            clean = True
+            for row in rows[r + 1 :]:
+                if row[c]:
+                    q = row[c] // piv
+                    for j, y in pairs:
+                        row[j] -= q * y
+                    if row[c]:
                         clean = False
             if clean:
                 break
@@ -167,10 +187,14 @@ def _hermite(rows, width):
             if rows[r][c] < 0:
                 rows[r] = [-x for x in rows[r]]
             piv = rows[r][c]
-            for i in range(r):
-                q = rows[i][c] // piv
+            pairs = None
+            for row in rows[:r]:
+                q = row[c] // piv
                 if q:
-                    _row_sub(rows, i, r, q)
+                    if pairs is None:
+                        pairs = _nonzeros(rows[r])
+                    for j, y in pairs:
+                        row[j] -= q * y
             r += 1
     return r
 

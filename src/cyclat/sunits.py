@@ -391,8 +391,10 @@ def recover_structure(datum, budget=10**6, seed=0):
     the multiplicities t_0..t_n.  Any failure — unmatched diagram,
     non-integral division, or a negative multiplicity — degrades the status
     to PartiallyResolved with a diagnostic; negative multiplicities are
-    reported as computed, never clamped.
+    reported as computed, never clamped.  A negative budget raises
+    ValueError.
     """
+    diagrams._check_budget(budget)
     params = datum.params
     p, n = params.p, params.n
     stats = upsilon_stats(datum)

@@ -1,10 +1,17 @@
 """Command-line interface: exit codes, document shapes, reproducibility."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from cyclat.cli import main
+import cyclat
+from cyclat.cli import TOOL_VERSION, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 GOOD_DATUM = {
     "p": 3,
@@ -193,6 +200,29 @@ class TestPredictCommand:
         assert code == 2
 
 
+class TestPredictBudget:
+    MIXED = str(GOLDEN / "datum_p3_n2_mixed.json")
+
+    @pytest.mark.parametrize("budget", ["-5", "-1"])
+    def test_negative_budget_exits_two(self, capsys, budget):
+        code, out, err = run(capsys, ["predict", "--input", self.MIXED, "--budget", budget])
+        assert code == 2
+        assert out == ""
+        assert "budget must be nonnegative" in err
+
+    def test_zero_budget_runs_the_search(self, capsys):
+        # nothing is sampled, so the mixed datum stays unresolved (exit 3)
+        code, out, err = run(capsys, ["predict", "--input", self.MIXED, "--budget", "0"])
+        assert code == 3
+        assert err == ""
+        assert json.loads(out)["report"]["status"] == "PartiallyResolved"
+
+    def test_default_budget_resolves(self, capsys):
+        code, out, _ = run(capsys, ["predict", "--input", self.MIXED])
+        assert code == 0
+        assert json.loads(out)["report"]["status"] == "Resolved"
+
+
 class TestPrimesCommand:
     def test_lists_one_prime_per_line(self, capsys):
         code, out, _ = run(capsys, ["primes", "--p", "3", "--bound", "40"])
@@ -282,3 +312,32 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["conjecture"])
         assert exc.value.code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m cyclat`` runs ``cli.main`` and exits with its code."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(pathlib.Path(cyclat.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run(
+            [sys.executable, "-m", "cyclat", *argv], capture_output=True, env=env
+        )
+
+    def test_version(self):
+        proc = self.run_module("--version")
+        assert proc.returncode == 0
+        assert proc.stdout.decode() == TOOL_VERSION + "\n"
+
+    def test_diagram_matches_golden(self):
+        argv = ["diagram", "--p", "3", "--n", "2", "--kind", "mab", "--a", "1", "--b", "1"]
+        proc = self.run_module(*argv)
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / "diagram_p3_n2_a1_b1.txt").read_bytes()
+
+    def test_exit_code_passes_through(self):
+        proc = self.run_module("primes", "--p", "3", "--bound", "-5")
+        assert proc.returncode == 2
+        assert proc.stdout == b""

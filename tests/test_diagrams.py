@@ -153,6 +153,19 @@ class TestIsomorphism:
         assert d1.total_order_log() != d2.total_order_log()
         assert diagram_isomorphic(d1, d2) is IsoResult.NO
 
+    @pytest.mark.parametrize("budget", [-1, -(10**6)])
+    def test_negative_budget_rejected(self, budget):
+        d = library_diagram(GroupParams(3, 2), {(1, 1): 1})
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            diagram_isomorphic(d, d, budget=budget)
+
+    def test_zero_budget_is_valid(self):
+        pr = GroupParams(3, 2)
+        d1 = yakovlev_diagram(mab_lattice(pr, 1, 1))
+        d2 = library_diagram(pr, {(1, 1): 1})
+        assert diagram_isomorphic(d1, d2, budget=0) is IsoResult.YES
+        assert diagram_isomorphic(d1, library_diagram(pr, {(1, 0): 1}), budget=0) is IsoResult.NO
+
     def test_mismatched_group_parameters_rejected(self):
         d1 = zero_diagram(GroupParams(3, 1))
         d2 = zero_diagram(GroupParams(3, 2))
@@ -221,6 +234,19 @@ class TestSubtraction:
                 result = subtract_library(library_diagram(pr, ms))
                 assert result.fully_resolved
                 assert result.extracted == ms
+
+    def test_negative_budget_rejected(self):
+        diag = library_diagram(GroupParams(3, 2), {(1, 1): 3})
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            subtract_library(diag, budget=-5)
+        # rejected before recognition, also for a diagram that would not match
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            subtract_library(zero_diagram(GroupParams(3, 2)), budget=-1)
+
+    def test_zero_budget_is_valid(self):
+        result = subtract_library(library_diagram(GroupParams(3, 2), {(1, 1): 3}), budget=0)
+        assert result.fully_resolved
+        assert result.extracted == {(1, 1): 3}
 
     def test_unresolved_sentinel_contract(self):
         stuck = SubtractResult({}, Unresolved)

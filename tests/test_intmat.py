@@ -197,6 +197,62 @@ class TestHermiteForm:
             assert intmat.rank(a) == sympy.Matrix(a).rank()
 
 
+def sparse_full_column_rank(rng, rows, cols):
+    """A seeded rows x cols matrix of full column rank whose rows are mostly
+    long runs of zeros: one or two nonzero entries each, some of them 2^70."""
+    while True:
+        a = intmat.zeros(rows, cols)
+        for j, i in enumerate(rng.sample(range(rows), cols)):
+            a[i][j] = rng.choice((1, -1, 2, 3, -5))
+        for row in a:
+            if rng.random() < 0.5:
+                row[rng.randrange(cols)] = rng.choice((1, -1, 4, -6, 2**70))
+        if sympy.Matrix(a).rank() == cols:
+            return a
+
+
+def row_hnf_by_sympy(a):
+    """Row HNF of a full-column-rank a from sympy's column HNF (reversing
+    both coordinates maps its convention onto this one)."""
+    ref = hermite_normal_form(sympy.Matrix([row[::-1] for row in intmat.transpose(a)[::-1]]))
+    ref = [[int(ref[i, j]) for j in range(ref.cols)] for i in range(ref.rows)]
+    return intmat.transpose([row[::-1] for row in ref[::-1]])
+
+
+class TestHermiteSparsePivotRows:
+    """Row operations run over the nonzero entries of the pivot row only; the
+    pivot rows here are long zero runs followed by a nonzero transform tail."""
+
+    def test_row_hnf_against_sympy(self):
+        rng = random.Random(20261021)
+        for trial in range(12):
+            cols = rng.randint(2, 9)
+            a = sparse_full_column_rank(rng, cols + rng.randint(0, 6), cols)
+            h, t = intmat.row_hnf(a)
+            assert intmat.mat_mul(t, a) == h
+            assert sympy_det(t) in (1, -1)
+            assert h[:cols] == row_hnf_by_sympy(a)
+            assert not any(any(row) for row in h[cols:])
+
+    def test_tail_carries_every_operation(self):
+        # [a | U] with a dense unimodular U as the tail: the tail must end up
+        # T @ U for the T of row_hnf(a), zeros of the pivot rows skipped or not
+        rng = random.Random(20261022)
+        for trial in range(12):
+            cols = rng.randint(2, 8)
+            a = sparse_full_column_rank(rng, cols + rng.randint(0, 5), cols)
+            m = len(a)
+            u = intmat.identity(m)
+            for _ in range(3 * m):
+                i, k = rng.sample(range(m), 2)
+                intmat._row_sub(u, i, k, rng.choice((1, -1, 2, -3)))
+            rows = [ra + ru for ra, ru in zip(a, u)]
+            assert intmat._hermite(rows, cols) == cols
+            h, t = intmat.row_hnf(a)
+            assert [row[:cols] for row in rows] == h
+            assert [row[cols:] for row in rows] == intmat.mat_mul(t, u)
+
+
 class TestKernel:
     def test_kernel_annihilates_and_has_full_dimension(self):
         rng = random.Random(23)
@@ -690,6 +746,33 @@ class TestMatMul:
             if rows and rng.random() < 0.3:
                 a[rng.randrange(rows)] = [0] * inner  # an all-zero row
             assert intmat.mat_mul(a, b) == naive_mul(a, b)
+
+    def test_both_factors_sparse(self):
+        # zeros on both sides: a few +-1 and 2^70 entries in each factor,
+        # all-zero rows and columns of b, rectangular shapes
+        rng = random.Random(20261019)
+        values = (1, -1, 1, -1, 2, -3, 2**70, -(2**70) + 1)
+        for trial in range(80):
+            rows, inner, cols = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 12)
+            a = [[rng.choice(values) if rng.random() < 0.2 else 0 for _ in range(inner)]
+                 for _ in range(rows)]
+            b = [[rng.choice(values) if rng.random() < 0.2 else 0 for _ in range(cols)]
+                 for _ in range(inner)]
+            b[rng.randrange(inner)] = [0] * cols  # an all-zero row of b
+            dead = rng.randrange(cols)
+            for row in b:  # an all-zero column of b
+                row[dead] = 0
+            out = intmat.mat_mul(a, b)
+            assert out == naive_mul(a, b)
+            assert all(row[dead] == 0 for row in out)
+            assert [len(row) for row in out] == [cols] * rows
+
+    def test_zero_column_b_and_zero_factors(self):
+        a = [[0, 2**70, 0], [-1, 0, 1]]
+        assert intmat.mat_mul(a, [[], [], []]) == [[], []]
+        zero_b = intmat.zeros(3, 4)
+        assert intmat.mat_mul(a, zero_b) == intmat.zeros(2, 4)
+        assert intmat.mat_mul(intmat.zeros(2, 3), [[1, -1], [2**70, 0], [0, 5]]) == intmat.zeros(2, 2)
 
     def test_large_negative_entries(self):
         x = -(2**65) - 3

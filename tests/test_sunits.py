@@ -314,6 +314,12 @@ class TestRecoverStructure:
         assert report.perm_multiplicities == (0, 0)
         assert minkowski_count(report) == 0
 
+    def test_negative_budget_rejected(self):
+        d = datum(P3N1, r1=1, r2=0, ramified=[(3, 3)])
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            recover_structure(d, budget=-5)
+        assert recover_structure(d, budget=0).status == "Resolved"
+
     def test_extra_unit_rank_becomes_free_multiplicity(self):
         d = datum(P3N1, r1=2, r2=0, ramified=[(3, 3)])
         report = recover_structure(d)
