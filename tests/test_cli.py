@@ -217,11 +217,6 @@ class TestPredictBudget:
         assert err == ""
         assert json.loads(out)["report"]["status"] == "PartiallyResolved"
 
-    def test_default_budget_resolves(self, capsys):
-        code, out, _ = run(capsys, ["predict", "--input", self.MIXED])
-        assert code == 0
-        assert json.loads(out)["report"]["status"] == "Resolved"
-
 
 class TestPrimesCommand:
     def test_lists_one_prime_per_line(self, capsys):
