@@ -58,8 +58,11 @@ def _canonical(payload):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
     sys.stdout.write(text)
 
 

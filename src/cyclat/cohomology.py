@@ -22,43 +22,51 @@ from .diagrams import YakovlevDiagram, _check_diagram, _minimized_diagram
 from .finmod import FiniteGammaModule, GammaMap
 
 
-def _h1_data(lattice, j):
-    """(module, kernel_basis, factor) for the level-j group, cached on the lattice.
+def _tate_group(lattice, j, kernel_of, image_of):
+    """(module, basis, factor): ker(kernel_of(j)) / im(image_of(j)) at level j.
 
-    ``kernel_basis`` has the basis of ker(Norm_j) as columns (None when the
-    kernel is trivial); the module presents that kernel modulo the image of
-    s_j - 1 with the induced sigma action.  ``factor`` is the basis's one
-    ``intmat.factor_full_column_rank``: the relations, the action and the
-    rung maps into this level (``up_map``, ``down_map``) all solve against
-    it, and since the basis is saturated its back-substitution is empty.
-    The group order p^j kills the level-j group, so the relations contain
-    p^j . Z^k and are their own p-saturation: their Hermite form is taken
-    modulo p^j, and the module constructor finds it already saturated.  The
-    module is validated once, on its invariant-factor form, whose p-power
-    diagonal relations keep the check small; the raw presentation itself is
-    built trusted.
+    ``kernel_of`` and ``image_of`` are lattice methods giving the level-j
+    matrices: the norm N_j and s_j - 1 for the degree -1 group, the other
+    way round for the degree 0 group.  ``basis`` has a basis of the kernel
+    as columns and ``factor`` is its one ``intmat.factor_full_column_rank``;
+    the module presents the kernel modulo the image, in those coordinates,
+    with the induced sigma action.  j = 0, rank 0 and a trivial kernel give
+    the zero module with basis and factor None.  The order-p^j subgroup
+    kills the group, so the relations contain p^j . Z^k and their Hermite
+    form is taken modulo p^j; the module constructor finds it already
+    saturated.  The module is built unchecked: each caller checks it once.
     """
     params = lattice.params
     params.check_level(j)
-    cache = lattice.__dict__.setdefault("_h1_cache", {})
-    if j in cache:
-        return cache[j]
+    zero = (FiniteGammaModule.zero(params), None, None)
     if j == 0 or lattice.rank == 0:
-        cache[j] = (FiniteGammaModule.zero(params), None, None)
-        return cache[j]
-    norm = lattice.norm_matrix(j)
-    basis = intmat.kernel(norm, ncols=lattice.rank)
+        return zero
+    basis = intmat.kernel(kernel_of(j), ncols=lattice.rank)
     k = len(basis[0]) if basis and basis[0] else 0
     if k == 0:
-        cache[j] = (FiniteGammaModule.zero(params), None, None)
-        return cache[j]
+        return zero
     factor = intmat.factor_full_column_rank(basis)
-    relations = intmat.solve_factored(factor, lattice.moved_matrix(j))
+    relations = intmat.solve_factored(factor, image_of(j))
     relations = intmat.hnf_mod_prime_power(relations, params.p, j)
     action = intmat.solve_factored(factor, intmat.mat_mul(lattice.action, basis))
-    module = FiniteGammaModule(params, k, relations, action, _trusted=True)
-    module.minimized()[0]._validate()
-    cache[j] = (module, basis, factor)
+    return FiniteGammaModule(params, k, relations, action, _trusted=True), basis, factor
+
+
+def _h1_data(lattice, j):
+    """(module, kernel_basis, factor) of the level-j degree -1 group, cached.
+
+    ker(N_j) / im(s_j - 1) from ``_tate_group``: the relations, the action
+    and the rung maps into this level (``up_map``, ``down_map``) all solve
+    against the one ``factor``, and since the basis is saturated its
+    back-substitution is empty.  The module is validated once, on its
+    invariant-factor form, whose p-power diagonal relations keep the check
+    small.
+    """
+    cache = lattice.__dict__.setdefault("_h1_cache", {})
+    if j not in cache:
+        data = _tate_group(lattice, j, lattice.norm_matrix, lattice.moved_matrix)
+        data[0].minimized()[0]._validate()
+        cache[j] = data
     return cache[j]
 
 
@@ -70,22 +78,11 @@ def tate_h1(lattice, j):
 def tate_h0(lattice, j):
     """Fixed points of the order-p^j subgroup modulo its norm image.
 
-    Like the degree -1 group, it is killed by p^j, so its relations are
-    reduced to Hermite form modulo p^j; the module is still validated.
+    ker(s_j - 1) / im(N_j) from ``_tate_group``, validated once.
     """
-    params = lattice.params
-    params.check_level(j)
-    if j == 0 or lattice.rank == 0:
-        return FiniteGammaModule.zero(params)
-    fixed = intmat.kernel(lattice.moved_matrix(j), ncols=lattice.rank)
-    f = len(fixed[0]) if fixed and fixed[0] else 0
-    if f == 0:
-        return FiniteGammaModule.zero(params)
-    factor = intmat.factor_full_column_rank(fixed)
-    relations = intmat.solve_factored(factor, lattice.norm_matrix(j))
-    relations = intmat.hnf_mod_prime_power(relations, params.p, j)
-    action = intmat.solve_factored(factor, intmat.mat_mul(lattice.action, fixed))
-    return FiniteGammaModule(params, f, relations, action)
+    module = _tate_group(lattice, j, lattice.moved_matrix, lattice.norm_matrix)[0]
+    module._validate()
+    return module
 
 
 def fixed_rank(lattice, j):

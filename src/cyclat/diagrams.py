@@ -18,6 +18,7 @@ and matches a diagram against the library (``subtract_library``).
 from __future__ import annotations
 
 import enum
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -116,6 +117,8 @@ def _check_diagram(diagram):
         mod = diagram.level(i)
         if mod.params != params:
             raise DiagramError(f"level {i} has mismatched group parameters")
+        if not mod.is_zero_mat(intmat.mat_mul(mod.action, mod.relations)):
+            raise DiagramError(f"sigma does not preserve the relation span of level {i}")
         if mod.exponent_log() > i:
             raise DiagramError(
                 f"level {i} is not killed by p^{i} (exponent p^{mod.exponent_log()})"
@@ -155,10 +158,14 @@ def validate_diagram(diagram):
     """True iff every structural constraint holds.
 
     Checks, as exact congruences modulo each level's relations: levels share the
-    diagram's group parameters, level i is annihilated by p^i and fixed by the
-    order-p^i subgroup, the rung maps are module maps, and both composites
-    (up after down = multiplication by p; down after up = the relative-norm
-    operator) hold on every rung.  Never raises on a malformed diagram.
+    diagram's group parameters, sigma preserves each level's relation span,
+    level i is annihilated by p^i and fixed by the order-p^i subgroup, the
+    rung maps are module maps, and both composites (up after down =
+    multiplication by p; down after up = the relative-norm operator) hold on
+    every rung.  The first three imply everything a level's own check asks,
+    since sigma^(p^n) = s_i^(p^i) with s_i the order-p^i subgroup's
+    generator, so a level needs no check of its own.  Never raises on a
+    malformed diagram.
     """
     try:
         return _check_diagram(diagram)
@@ -572,40 +579,20 @@ def _isomorphism_search(d1, d2, budget, seed):
         if group_size > budget:
             break
     exhaustive = group_size <= budget
-    p = params.p
-
-    def check(coeffs):
-        mats = _candidate_maps(system, coeffs, md1, md2)
-        for i in range(n):
-            if not _surjective_mod_p(mats[i], md2.levels[i].gens, p):
-                return None
-        return mats
-
-    tested = 0
     if exhaustive:
-        coeffs = [0] * system.total
-        while True:
-            mats = check(coeffs)
-            tested += 1
-            if mats is not None:
-                return IsoResult.YES, mats
-            pos = 0
-            while pos < system.total:
-                coeffs[pos] += 1
-                if coeffs[pos] < ranges[pos]:
-                    break
-                coeffs[pos] = 0
-                pos += 1
-            if pos == system.total:
-                return IsoResult.NO, None
-    rng = random.Random(seed)
-    while tested < budget:
-        coeffs = [rng.randrange(r) for r in ranges]
-        mats = check(coeffs)
-        tested += 1
-        if mats is not None:
+        # every tuple, c_0 running fastest
+        products = itertools.product(*(range(r) for r in reversed(ranges)))
+        candidates = (coeffs[::-1] for coeffs in products)
+    else:
+        rng = random.Random(seed)
+        candidates = ([rng.randrange(r) for r in ranges] for _ in range(budget))
+    for coeffs in candidates:
+        mats = _candidate_maps(system, coeffs, md1, md2)
+        if all(
+            _surjective_mod_p(h, tgt.gens, params.p) for h, tgt in zip(mats, md2.levels)
+        ):
             return IsoResult.YES, mats
-    return IsoResult.UNKNOWN, None
+    return (IsoResult.NO if exhaustive else IsoResult.UNKNOWN), None
 
 
 def _check_budget(budget):

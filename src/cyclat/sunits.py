@@ -209,8 +209,17 @@ def _library_label(p, type_pair):
     return (a, _p_power_log(p, do, "decomposition order") - a)
 
 
+def _place_summands(datum):
+    """Library summand diagram of each ramified place, label (log_p e, log_p f - log_p e)."""
+    p = datum.params.p
+    return [
+        diagrams._library_summand_diagram(datum.params, *_library_label(p, place.type_pair()))
+        for place in datum.ramified
+    ]
+
+
 def _anchored_level(datum, j, blocks):
-    """Level j from the standard-module block of each ramified place.
+    """Level j from the standard-module block of each ramified place, unchecked.
 
     A distinguished generator, fixed by the group action, is prepended and
     annihilated by max(p^j, core) / core, for the core order of
@@ -218,7 +227,9 @@ def _anchored_level(datum, j, blocks):
     max(min(p^j, f), core) into it, where f is the place's decomposition
     order.  The relations are block triangular with a p-power diagonal, so
     their determinant p^e kills the level, and their Hermite form modulo
-    p^e is the saturated one the constructor would compute.
+    p^e is the saturated one the constructor would compute.  The caller
+    checks the module: ``wj_presentation`` by itself, ``predict_diagram``
+    with its ladder.
     """
     params = datum.params
     sub = params.p**j
@@ -232,19 +243,19 @@ def _anchored_level(datum, j, blocks):
         offset += block.gens
     e = sum(intmat.p_valuation(row[i], params.p) for i, row in enumerate(relations))
     relations = intmat.hnf_mod_prime_power(relations, params.p, e)
-    return FiniteGammaModule(params, len(action), relations, action)
+    return FiniteGammaModule(params, len(action), relations, action, _trusted=True)
 
 
 def wj_presentation(datum, j):
     """Presentation of the ladder level attached to the subgroup of order p^j.
 
-    Each ramified place contributes level j of its library summand: label
-    (a, b) = (log_p e, log_p f - log_p e), a standard module whose generators
-    are cyclically permuted (``diagrams.library_level_type``).  One more
-    generator is fixed by the group action and annihilated by a power
-    determined by the subgroup order against the core order, and each block
-    generator's torsion relation feeds back into it (``_anchored_level``).
-    j = 0 gives the zero module.
+    Each ramified place contributes level j of its library summand
+    (``_place_summands``): a standard module whose generators are cyclically
+    permuted (``diagrams.library_level_type``).  One more generator is fixed
+    by the group action and annihilated by a power determined by the
+    subgroup order against the core order, and each block generator's
+    torsion relation feeds back into it (``_anchored_level``).  j = 0 gives
+    the zero module.
     """
     _require_ramified_closed_form(datum)
     params = datum.params
@@ -252,14 +263,9 @@ def wj_presentation(datum, j):
         raise ValueError(f"level index {j} outside 0..{params.n}")
     if j == 0:
         return FiniteGammaModule.zero(params)
-    blocks = [
-        FiniteGammaModule.standard(
-            params,
-            *diagrams.library_level_type(*_library_label(params.p, place.type_pair()), j),
-        )
-        for place in datum.ramified
-    ]
-    return _anchored_level(datum, j, blocks)
+    level = _anchored_level(datum, j, [s.level(j) for s in _place_summands(datum)])
+    level._validate()
+    return level
 
 
 def predict_diagram(datum):
@@ -269,10 +275,11 @@ def predict_diagram(datum):
     place's block, and its rung maps (identity down and p up while the upper
     subgroup lies in the decomposition group, spreading down and projecting
     up beyond it), come from the place's library summand diagram, and the
-    distinguished generator maps by 1 down and p up.  Unramified data with
-    a completely split auxiliary set reduce to the library diagram of the
-    norm-kernel lattice (levels Z/p^i with natural projections and
-    multiplication by p).
+    distinguished generator maps by 1 down and p up.  Levels and maps are
+    built unchecked and checked once, together, by the ladder check.
+    Unramified data with a completely split auxiliary set reduce to the
+    library diagram of the norm-kernel lattice (levels Z/p^i with natural
+    projections and multiplication by p).
     """
     params = datum.params
     p, n = params.p, params.n
@@ -286,16 +293,12 @@ def predict_diagram(datum):
                 "unramified data need a completely split auxiliary set"
             )
         return diagrams.library_diagram(params, {(n, 0): 1})
-    summands = [
-        diagrams._library_summand_diagram(params, *_library_label(p, place.type_pair()))
-        for place in datum.ramified
-    ]
+    summands = _place_summands(datum)
     levels = [
         _anchored_level(datum, j, [s.level(j) for s in summands]) for j in range(1, n + 1)
     ]
     ups, downs = [], []
     for i in range(1, n):
-        # checked once, with the ladder identities, below
         down = intmat.block_diag([[[1]]] + [s.down(i).matrix for s in summands])
         up = intmat.block_diag([[[p]]] + [s.up(i).matrix for s in summands])
         downs.append(GammaMap(levels[i], levels[i - 1], down, _trusted=True))

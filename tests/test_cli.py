@@ -118,6 +118,16 @@ class TestPredictCommand:
         assert code == 0
         assert out_path.read_text() == out
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
+        # a missing directory, then a path that is a directory
+        path = write_datum(tmp_path, GOOD_DATUM)
+        out_path = str(tmp_path / target)
+        code, out, err = run(capsys, ["predict", "--input", path, "--out", out_path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         path = write_datum(tmp_path, GOOD_DATUM)
         _, first, _ = run(capsys, ["predict", "--input", path])

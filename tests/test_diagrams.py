@@ -83,6 +83,24 @@ class TestValidation:
         assert validate_diagram(two_levels(FiniteGammaModule.standard(pr, 1, 2), zero))
         assert not validate_diagram(two_levels(FiniteGammaModule.standard(pr, 1, 1), zero))
 
+    def test_sigma_must_preserve_each_level_relation_span(self):
+        # Z^2 modulo the columns (1, 2), (0, 3) is Z/3, and s_1 = sigma^3
+        # fixes it, so only the relation-span clause catches that sigma
+        # moves the relation (1, 2) to (-6, -4), outside the span
+        pr = GroupParams(3, 2)
+        relations = [[1, 0], [2, 3]]
+        sigma = [[-2, -2], [0, -2]]
+        level = FiniteGammaModule(pr, 2, relations, sigma, _trusted=True)
+        with pytest.raises(ValueError, match="action does not preserve the relation span"):
+            level._validate()
+        zero = FiniteGammaModule.zero(pr)
+        ladder = YakovlevDiagram(
+            pr, [level, zero], [GammaMap.zero(level, zero)], [GammaMap.zero(zero, level)]
+        )
+        assert level.exponent_log() == 1
+        assert level.is_zero_mat(intmat.mat_sub(level.action_power(3), intmat.identity(2)))
+        assert not validate_diagram(ladder)
+
     def test_structural_mismatch_raises_on_construction(self):
         pr = GroupParams(3, 2)
         good = library_diagram(pr, {(1, 1): 1})

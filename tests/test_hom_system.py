@@ -13,6 +13,7 @@ import pytest
 from cyclat import diagrams, intmat
 from cyclat.cohomology import yakovlev_diagram
 from cyclat.diagrams import (
+    IsoResult,
     YakovlevDiagram,
     _build_hom_system,
     _candidate_maps,
@@ -73,6 +74,26 @@ def _top_zero_pair(params):
     return one_level(trivial), one_level(twisted)
 
 
+def _twisted_pair(params):
+    """Ladders F_p -> Z/p^2 -> F_p (p = 3, n = 3) with sigma = 4, then 7, on Z/9.
+
+    sigma = 7 = 4^2 is the twist of sigma = 4 by the automorphism sigma ->
+    sigma^2 of the group, which changes no divisor list and no image
+    order, so the screen passes; yet no unit u of Z/9 has 4u = 7u, so the
+    middle levels are not isomorphic and only an exhaustive search says No.
+    """
+
+    def ladder(unit):
+        low = FiniteGammaModule.standard(params, 1, params.n)
+        mid = FiniteGammaModule.from_invariant_relations(params, [9], [[unit]])
+        top = FiniteGammaModule.standard(params, 1, params.n)
+        ups = [GammaMap(low, mid, [[3]]), GammaMap(mid, top, [[1]])]
+        downs = [GammaMap(mid, low, [[1]]), GammaMap(top, mid, [[3]])]
+        return YakovlevDiagram(params, [low, mid, top], ups, downs)
+
+    return ladder(4), ladder(7)
+
+
 def _pairs():
     rng = random.Random(20261018)
     for n in (2, 3):
@@ -99,6 +120,7 @@ def _pairs():
     yield ("p3n2_trivial_to_twisted", *_top_zero_pair(params))
     zero_bottom = _zero_bottom_diagram(GroupParams(3, 3))
     yield "p3n3_zero_bottom_level", zero_bottom, zero_bottom
+    yield ("p3n3_twisted_middle_level", *_twisted_pair(GroupParams(3, 3)))
 
 
 PAIRS = {name: (d1, d2) for name, d1, d2 in _pairs()}
@@ -236,3 +258,52 @@ def test_trivially_acting_level_has_one_orbit_row_per_generator(monkeypatch):
         for l in range(3)
         for j in range(3)
     )
+
+
+def _group_size(d1, d2):
+    system = _build_hom_system(*(_minimized_diagram(d) for d in (d1, d2)))
+    size = 1
+    for t in system.pivots:
+        size *= system.q // t
+    return size
+
+
+def test_exhaustive_no_tests_every_tuple_once(monkeypatch):
+    d1, d2 = PAIRS["p3n3_twisted_middle_level"]
+    size = _group_size(d1, d2)
+    assert size == 729
+    assert _search(d1, d2, size, monkeypatch) == (IsoResult.NO, None, size)
+
+
+def test_exhaustive_yes_returns_the_first_surjective_tuple(monkeypatch):
+    d1, d2 = PAIRS["p3n2_(1,0)_library_to_lattice"]
+    md1, md2 = (_minimized_diagram(d) for d in (d1, d2))
+    system = _build_hom_system(md1, md2)
+    ranges = [system.q // t for t in system.pivots]
+    p = md1.params.p
+    # an odometer over the hom group, c_0 running fastest
+    coeffs, index = [0] * system.total, 0
+    while True:
+        mats = _candidate_maps(system, coeffs, md1, md2)
+        if all(
+            len(intmat.pivot_columns_mod_p(h, p)) == tgt.gens
+            for h, tgt in zip(mats, md2.levels)
+        ):
+            break
+        index += 1
+        pos = 0
+        while coeffs[pos] == ranges[pos] - 1:
+            coeffs[pos] = 0
+            pos += 1
+        coeffs[pos] += 1
+    assert index > 0
+    tested = []
+    original = diagrams._candidate_maps
+
+    def counting(*args):
+        tested.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(diagrams, "_candidate_maps", counting)
+    verdict, witness = _isomorphism_search(d1, d2, _group_size(d1, d2), 0)
+    assert (verdict, witness, len(tested)) == (IsoResult.YES, mats, index + 1)

@@ -5,7 +5,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 from cyclat import cohomology, diagrams, intmat
-from cyclat.groupring import GroupParams
+from cyclat.groupring import GroupParams, norm_element, relative_norm_element
 from cyclat.lattices import (
     GammaLattice,
     direct_sum,
@@ -253,6 +253,38 @@ class TestAppliedNorms:
                 assert lat.relative_norm_matrix(j) == relative
                 norm = intmat.mat_mul(relative, norm)
                 assert lat.norm_matrix(j) == norm
+
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (7, 2)])
+    def test_group_ring_norms_are_the_norm_elements(self, p, n):
+        # the circulant of the group-ring element, formed coefficient by
+        # coefficient, against the norms applied down the subgroup chain
+        pr = GroupParams(p, n)
+        lat = group_ring_lattice(pr)
+        for j in range(n + 1):
+            assert norm_element(pr, j).to_matrix() == lat.norm_matrix(j)
+        for i in range(1, n + 1):
+            assert relative_norm_element(pr, i).to_matrix() == lat.relative_norm_matrix(i)
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2)])
+    def test_norm_kernel_is_the_saturated_moved_image(self, p, n):
+        # ker N_j is saturated and has the rank of im(s_j - 1) (the Tate
+        # group between them is finite), so it is the saturation of that
+        # image: the first rank columns of U^-1 for the Smith form U A V
+        pr = GroupParams(p, n)
+        lattices = [permutation_lattice(pr, i) for i in range(n + 1)]
+        for k, (a, b) in enumerate(all_labels(n)):
+            lat = mab_lattice(pr, a, b)
+            summed = direct_sum([lat, permutation_lattice(pr, k % (n + 1))])
+            lattices += [lat, random_unimodular_change(summed, k)]
+        for lat in lattices:
+            for j in range(1, n + 1):
+                moved = lat.moved_matrix(j)
+                d, u, _ = intmat.snf(moved)
+                rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i])
+                saturation = [row[:rank] for row in intmat.unimodular_inverse(u)]
+                kernel = intmat.kernel(lat.norm_matrix(j), ncols=lat.rank)
+                assert intmat.hnf_cols(kernel) == intmat.hnf_cols(saturation)
 
 
 class TestActionContract:

@@ -289,6 +289,23 @@ class TestPredictDiagram:
             assert diagrams.validate_diagram(predict_diagram(d))
 
 
+    def test_levels_are_the_wj_presentations(self):
+        # both take their blocks from each place's library summand diagram
+        rng = random.Random(19)
+        for _ in range(20):
+            p, n = rng.choice((3, 5)), rng.randrange(1, 4)
+            places = []
+            for _ in range(rng.randrange(1, 4)):
+                c = rng.randrange(1, n + 1)
+                places.append((p ** rng.randrange(1, c + 1), p**c))
+            counts = [rng.choice((0, 0, 1, 2)) for _ in range(n + 1)]
+            d = datum(GroupParams(p, n), ramified=places, s_counts=counts)
+            predicted = predict_diagram(d)
+            for j in range(1, n + 1):
+                level, wj = predicted.level(j), wj_presentation(d, j)
+                assert (level.relations, level.action) == (wj.relations, wj.action)
+
+
 class TestLibraryFixedRank:
     def test_matches_lattice_computation(self):
         from cyclat.cohomology import fixed_rank

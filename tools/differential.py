@@ -28,8 +28,11 @@ relations, so they move whenever that transform's pivot sequence moves.  The
 norm_matrix(j) and moved_matrix(j), which are rows of ``row_hnf``'s
 transform; the H^1 presentations are written in those bases, so a drift in
 the Hermite transform shows there under its own name.  The ``large_diagrams`` section holds the minimized diagrams of the
-six library labels at (5, 3), rank up to 125.  Each section prints its own
-digest, so a mismatch names the layer where the outputs part.
+six library labels at (5, 3), rank up to 125.  The ``predicted`` section
+holds, for seeded Hilbert-cyclic extension data (p in {3, 5}, n <= 3, one
+to four ramified places), every ``wj_presentation`` level, the minimized
+``predict_diagram`` and the ``recover_structure`` report.  Each section
+prints its own digest, so a mismatch names the layer where the outputs part.
 """
 
 from __future__ import annotations
@@ -60,6 +63,12 @@ from cyclat.lattices import (  # noqa: E402
     permutation_lattice,
     random_unimodular_change,
 )
+from cyclat.sunits import (  # noqa: E402
+    ExtensionDatum,
+    predict_diagram,
+    recover_structure,
+    wj_presentation,
+)
 
 # (p, n) groups of the lattice corpus; the last one only for bare library labels
 GROUPS = ((3, 2), (3, 3), (5, 2), (7, 2))
@@ -71,6 +80,8 @@ PAIR_GROUPS = ((3, 2), (3, 3), (5, 2))
 BUDGET = 10**6
 # budget of the section that exercises the sampled search
 SMALL_BUDGET = 30
+# number of extension data in the predicted section
+PREDICT_DATA = 60
 
 
 def lattice_corpus(rng):
@@ -145,6 +156,46 @@ def pair_corpus(rng):
     ), library_diagram(params, {(2, 0): 1, (1, 0): 1})
 
 
+def predict_corpus(rng):
+    """Seeded Hilbert-cyclic data: p in {3, 5}, n <= 3, one to four ramified
+    places, random place counts and auxiliary-place counts."""
+    for _ in range(PREDICT_DATA):
+        p, n = rng.choice((3, 5)), rng.randrange(1, 4)
+        places = []
+        for _ in range(rng.randrange(1, 5)):
+            c = rng.randrange(1, n + 1)
+            places.append((p ** rng.randrange(1, c + 1), p**c))
+        r1 = rng.randrange(3)
+        r2 = rng.randrange(0 if r1 else 1, 3)
+        counts = tuple(rng.randrange(3) for _ in range(n + 1))
+        yield ExtensionDatum(GroupParams(p, n), r1, r2, tuple(places), counts)
+
+
+def predicted_record(datum):
+    n = datum.params.n
+    report = recover_structure(datum)
+    return {
+        "datum": [
+            datum.params.p,
+            n,
+            datum.r1,
+            datum.r2,
+            [place.type_pair() for place in datum.ramified],
+            datum.s_counts,
+        ],
+        "levels": [module_record(wj_presentation(datum, j)) for j in range(n + 1)],
+        "diagram": diagram_record(predict_diagram(datum)),
+        "report": [
+            sorted([a, b, m] for (a, b), m in report.library_summands.items()),
+            report.perm_multiplicities,
+            report.minkowski_count,
+            report.residual,
+            report.status,
+            report.diagnostics,
+        ],
+    }
+
+
 def sections(seed):
     rng = random.Random(seed)
     ideals, kernels, h1, h0, diagrams = [], [], [], [], []
@@ -180,6 +231,7 @@ def sections(seed):
             records.append([name, verdict.name, witness_record(witness, md2)])
         system = _build_hom_system(md1, md2)
         homs.append([name, system.total, system.basis, system.pivots])
+    predicted = [predicted_record(datum) for datum in predict_corpus(rng)]
     return {
         "ideals": ideals,
         "kernel_bases": kernels,
@@ -190,6 +242,7 @@ def sections(seed):
         "hom_systems": homs,
         "verdicts": verdicts,
         "verdicts_budget30": sampled,
+        "predicted": predicted,
     }
 
 
