@@ -199,7 +199,8 @@ def cmd_predict(args):
             obj = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # nesting deeper than the parser's recursion limit is bad input too
         raise ValueError(f"{args.input} is not valid JSON: {exc}") from exc
     datum = _load_datum(obj)
     report = sunits.recover_structure(datum, budget=args.budget, seed=args.seed)

@@ -331,14 +331,18 @@ def _same_presentation(d1, d2):
 
 
 def _word_matrices(source, target, q):
-    """Per-generator matrices expressing a hom by its values on Gamma-generators.
+    """One level hom as a table of linear forms over the level's own unknowns.
 
-    For every presentation generator e_l of ``source`` and every chosen
-    Gamma-generator slot j, returns P[(l, j)] with: any hom h sending the
-    j-th Gamma-generator to y_j has h(e_l) = sum_j P[(l, j)] y_j modulo the
-    target relations, where P is the word of e_l in the sigma-orbit of the
-    Gamma-generators, evaluated on the target action.  Entries are reduced
-    mod q.
+    The level's unknowns are y_j in Z^(g_T), the images of the chosen
+    Gamma-generators (j < s) in the target, laid out j-major: unknown
+    j . g_T + c is coordinate c of y_j.  Returns (s . g_T, forms) with
+    forms[l][r] the coefficients of entry (r, l) of the hom, that is of
+    coordinate r of h(e_l) for the presentation generator e_l, over those
+    s . g_T unknowns: h(e_l) = sum_j P_(l, j) y_j modulo the target
+    relations, where P_(l, j) is the word of e_l in the sigma-orbit of the
+    j-th Gamma-generator, evaluated on the target action.  Entries are
+    reduced mod q.  A level's forms touch no other level's unknowns, so
+    ``_build_hom_system`` places each table at its own offset.
 
     The orbit runs over t < ``source.sigma_order()``, not t < p^n: sigma^t
     repeats with that period on the source, so the shorter orbit spans the
@@ -357,7 +361,6 @@ def _word_matrices(source, target, q):
     """
     order = source.sigma_order()
     gen_idx = gamma_generator_indices(source)
-    s = len(gen_idx)
     g = source.gens
     gt = target.gens
     # column j * order + t is sigma^t applied to the j-th Gamma-generator
@@ -367,19 +370,19 @@ def _word_matrices(source, target, q):
     words = intmat.hnf_coordinates(orbit, source.relations, intmat.identity(g))
     if None in words:
         raise DiagramError("generator not reached by the Gamma-orbit span")
-    pmats = {}
-    for l in range(g):
-        for j in range(s):
-            acc = intmat.zeros(gt, gt)
-            base = j * order
-            for t in range(order):
-                cf = words[l][base + t]
-                if cf:
-                    acc = intmat.mat_add(
-                        acc, intmat.mat_scale(cf, target.action_power(t))
-                    )
-            pmats[(l, j)] = intmat.mat_mod(acc, q)
-    return gen_idx, pmats
+    width = len(gen_idx) * gt
+    forms = []
+    for word in words:
+        table = intmat.zeros(gt, width)
+        for u, cf in enumerate(word):
+            if cf:
+                base = u // order * gt
+                for row, prow in zip(table, target.action_power(u % order)):
+                    for c, v in enumerate(prow):
+                        if v:
+                            row[base + c] += cf * v
+        forms.append(intmat.mat_mod(table, q))
+    return width, forms
 
 
 def _surjective_mod_p(h, rows, p):
@@ -392,41 +395,47 @@ class _HomSystem:
     """Linear parametrization of levelwise hom tuples commuting with the rungs."""
 
     q: int
-    layout: list  # per level: (base index, s, target gens)
-    hsyms: list  # per level: hsym[l][r] = coefficient row of entry (r, l) over all unknowns
+    levels: list  # per level: (first unknown, forms of ``_word_matrices``)
     total: int
     basis: list = field(default_factory=list)  # triangular lattice basis columns
     pivots: list = field(default_factory=list)
 
 
-def _square_rows(h_out, a, b, h_in, target, q):
+def _square_rows(h_out, a, b, h_in, target, q, total):
     """Constraint rows saying h_out . a - b . h_in vanishes modulo the target relations.
 
-    ``h_in`` and ``h_out`` are symbolic level homs on the two sides of a
-    commuting square (``h[l][r]`` is the coefficient row of entry (r, l) over
-    all unknowns); ``a`` is the integer matrix on the source-diagram side and
-    ``b`` the one on the target-diagram side.  ``target`` is the minimized
-    module the square lands in, with diagonal relations d_r: the entry in
-    row r must vanish mod d_r, so its form is scaled by q // d_r to make every
-    row a congruence mod q.  A zero-generator module on any corner leaves the
-    matching products empty, so it needs no special case.
+    ``h_in`` and ``h_out`` are the level homs on the two sides of a
+    commuting square, each as (first unknown, forms) with forms[l][r] the
+    coefficients of entry (r, l) over that level's block of unknowns;
+    ``a`` is the integer matrix on the source-diagram side and ``b`` the
+    one on the target-diagram side.  ``target`` is the minimized module the
+    square lands in, with diagonal relations d_r: the entry in row r must
+    vanish mod d_r, so its form is scaled by q // d_r to make every row a
+    congruence mod q.  Each term is added at its block's offset within the
+    span of the two blocks, and a row over all ``total`` unknowns is built
+    only when it is nonzero mod q.  A zero-generator module on any corner
+    leaves the matching products empty, so it needs no special case.
     """
+    (first_out, forms_out), (first_in, forms_in) = h_out, h_in
+    ends = [first + len(forms[0][0]) for first, forms in (h_out, h_in) if forms and forms[0]]
+    lo = min(first_out, first_in)
+    hi = max(ends, default=lo)
     rows = []
     for r in range(target.gens):
         scale = q // target.relations[r][r]
-        for l, col in enumerate(h_in):
-            terms = [(x[l], h_out[k][r]) for k, x in enumerate(a) if x[l]]
-            terms += [(-c, col[k]) for k, c in enumerate(b[r]) if c]
+        for l, col in enumerate(forms_in):
+            terms = [(x[l], first_out, forms_out[k][r]) for k, x in enumerate(a) if x[l]]
+            terms += [(-c, first_in, col[k]) for k, c in enumerate(b[r]) if c]
             if not terms:
                 continue
-            form = [0] * len(terms[0][1])
-            for c, sym in terms:
-                for u, v in enumerate(sym):
+            form = [0] * (hi - lo)
+            for c, first, sym in terms:
+                for u, v in enumerate(sym, first - lo):
                     if v:
                         form[u] += c * v
-            row = [scale * x % q for x in form]
-            if any(row):
-                rows.append(row)
+            form = [scale * x % q for x in form]
+            if any(form):
+                rows.append([0] * lo + form + [0] * (total - hi))
     return rows
 
 
@@ -434,14 +443,17 @@ def _build_hom_system(md1, md2):
     """Solution lattice of the diagram homs from ``md1`` to ``md2`` (minimized).
 
     The unknowns are the images, in each target level, of the chosen
-    Gamma-generators of the source level; every level hom is a fixed linear
-    form in them (``_word_matrices``, whose words run over the source
-    level's own sigma-order).  A tuple of level homs is a diagram hom
-    exactly when one condition holds on every commuting square:
-    h_out . a - b . h_in = 0 modulo the target relations, for
-    a = the source relations and b = 0 (h kills them), a = b = sigma on each
-    side, and the up and down rungs.  ``_square_rows`` turns each square into
-    rows of R, and the homs are {y : R y = 0 mod q} with q = p^n.
+    Gamma-generators of the source level, in one block per level: level
+    i's block starts where level i - 1's ends, and its hom is the table of
+    linear forms over that block alone that ``_word_matrices`` returns
+    (whose words run over the source level's own sigma-order).  A tuple of
+    level homs is a diagram hom exactly when one condition holds on every
+    commuting square: h_out . a - b . h_in = 0 modulo the target
+    relations, for a = the source relations and b = 0 (h kills them),
+    a = b = sigma on each side, and the up and down rungs.  A square
+    touches one block, or two adjacent ones for a rung; ``_square_rows``
+    turns it into rows of R over all unknowns, and the homs are
+    {y : R y = 0 mod q} with q = p^n.
 
     That lattice is {y : y extends to a diagram hom}, whichever words
     express the level homs (``_word_matrices`` has the argument), and it is
@@ -453,32 +465,23 @@ def _build_hom_system(md1, md2):
     """
     params = md1.params
     q = params.p**params.n
-    layout, hsyms, total = [], [], 0
-    words = [_word_matrices(src, tgt, q) for src, tgt in zip(md1.levels, md2.levels)]
-    for (gen_idx, _), tgt in zip(words, md2.levels):
-        layout.append((total, len(gen_idx), tgt.gens))
-        total += len(gen_idx) * tgt.gens
-    for (base, s, gt), (_, pmats), src in zip(layout, words, md1.levels):
-        hsym = []
-        for l in range(src.gens):
-            col = []
-            for r in range(gt):
-                form = [0] * total
-                for j in range(s):
-                    form[base + j * gt : base + (j + 1) * gt] = pmats[(l, j)][r]
-                col.append(form)
-            hsym.append(col)
-        hsyms.append(hsym)
+    levels, total = [], 0
+    for src, tgt in zip(md1.levels, md2.levels):
+        width, forms = _word_matrices(src, tgt, q)
+        levels.append((total, forms))
+        total += width
     rows = []
-    for h, src, tgt in zip(hsyms, md1.levels, md2.levels):
-        rows += _square_rows(h, src.relations, intmat.zeros(tgt.gens, tgt.gens), h, tgt, q)
-        rows += _square_rows(h, src.action, tgt.action, h, tgt, q)
+    for h, src, tgt in zip(levels, md1.levels, md2.levels):
+        zero = intmat.zeros(tgt.gens, tgt.gens)
+        rows += _square_rows(h, src.relations, zero, h, tgt, q, total)
+        rows += _square_rows(h, src.action, tgt.action, h, tgt, q, total)
     for i in range(params.n - 1):
+        low, high = levels[i], levels[i + 1]
         up1, up2 = md1.ups[i].matrix, md2.ups[i].matrix
         down1, down2 = md1.downs[i].matrix, md2.downs[i].matrix
-        rows += _square_rows(hsyms[i + 1], up1, up2, hsyms[i], md2.levels[i + 1], q)
-        rows += _square_rows(hsyms[i], down1, down2, hsyms[i + 1], md2.levels[i], q)
-    system = _HomSystem(q=q, layout=layout, hsyms=hsyms, total=total)
+        rows += _square_rows(high, up1, up2, low, md2.levels[i + 1], q, total)
+        rows += _square_rows(low, down1, down2, high, md2.levels[i], q, total)
+    system = _HomSystem(q=q, levels=levels, total=total)
     if total == 0:
         return system
     h = intmat.row_echelon(rows)
@@ -494,8 +497,8 @@ def _build_hom_system(md1, md2):
     return system
 
 
-def _candidate_maps(system, coeffs, md1, md2):
-    """Evaluate the parametrization at one coefficient tuple."""
+def _candidate_maps(system, coeffs, md2):
+    """Evaluate the parametrization at one coefficient tuple, level by level."""
     q = system.q
     total = system.total
     y = [0] * total
@@ -506,22 +509,13 @@ def _candidate_maps(system, coeffs, md1, md2):
                 if col[k]:
                     y[k] = (y[k] + c * col[k]) % q
     mats = []
-    for i in range(md1.params.n):
-        src, tgt = md1.levels[i], md2.levels[i]
-        hsym = system.hsyms[i]
-        h = [
+    for (first, forms), tgt in zip(system.levels, md2.levels):
+        mats.append(
             [
-                sum(
-                    cf * y[k]
-                    for k, cf in enumerate(hsym[l][r])
-                    if cf
-                )
-                % q
-                for l in range(src.gens)
+                [sum(cf * y[u] for u, cf in enumerate(row[r], first) if cf) % q for row in forms]
+                for r in range(tgt.gens)
             ]
-            for r in range(tgt.gens)
-        ]
-        mats.append(h)
+        )
     return mats
 
 
@@ -587,7 +581,7 @@ def _isomorphism_search(d1, d2, budget, seed):
         rng = random.Random(seed)
         candidates = ([rng.randrange(r) for r in ranges] for _ in range(budget))
     for coeffs in candidates:
-        mats = _candidate_maps(system, coeffs, md1, md2)
+        mats = _candidate_maps(system, coeffs, md2)
         if all(
             _surjective_mod_p(h, tgt.gens, params.p) for h, tgt in zip(mats, md2.levels)
         ):

@@ -352,9 +352,12 @@ def recognize_standard_sum(module):
     E(a, n) is sum_j' m_(a,j'), and E(a, j) - E(a, j+1) is the partial sum
     over j' <= j times p^(n-j) - p^(n-j-1); those partial sums give the
     multiplicities.  Exponents above p^n are counted with a = n, and the
-    candidate is confirmed against the total order and the full abelian
-    invariant multiset, which rejects them; any failure returns
-    ``NotStandard`` (a value, not an exception).
+    candidate is confirmed against the full abelian invariant multiset,
+    which rejects them; any failure returns ``NotStandard`` (a value, not an
+    exception).  That one comparison also settles the total order: the
+    saturated relations have index p^order_log, so the valuations of
+    ``invariants()`` sum to ``order_log()``, as those of the candidate's
+    invariants sum to its order.
     """
     params = module.params
     p, n = params.p, params.n
@@ -379,12 +382,6 @@ def recognize_standard_sum(module):
                 multiset[(a, j)] = partial - prev
             prev = partial
 
-    # confirmation: total order and full invariant multiset must match
-    total = sum(
-        mult * a * p ** (n - j) for (a, j), mult in multiset.items()
-    )
-    if total != module.order_log():
-        return NotStandard
     if standard_sum_invariants(params, multiset) != module.invariants():
         return NotStandard
     return multiset

@@ -170,6 +170,14 @@ class TestPredictCommand:
         assert code == 2
         assert "error" in err
 
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, ["predict", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "is not valid JSON" in err
+
     def test_unknown_field_exits_two(self, capsys, tmp_path):
         payload = dict(GOOD_DATUM)
         payload["surprise"] = 1

@@ -28,7 +28,12 @@ relations, so they move whenever that transform's pivot sequence moves.  The
 norm_matrix(j) and moved_matrix(j), which are rows of ``row_hnf``'s
 transform; the H^1 presentations are written in those bases, so a drift in
 the Hermite transform shows there under its own name.  The ``large_diagrams`` section holds the minimized diagrams of the
-six library labels at (5, 3), rank up to 125.  The ``predicted`` section
+six library labels at (5, 3), rank up to 125.  The diagram pairs include
+twists (sigma acting as sigma^k, k prime to p, on every level) of library
+and lattice ladders, which pass the invariant screen.  The
+``large_hom_systems`` section holds the hom system of the (3, 4) predicted
+diagram of the mixed golden shape into its library diagram (216 unknowns),
+where levels have many generators.  The ``predicted`` section
 holds, for seeded Hilbert-cyclic extension data (p in {3, 5}, n <= 3, one
 to four ramified places), every ``wj_presentation`` level, the minimized
 ``predict_diagram`` and the ``recover_structure`` report.  Each section
@@ -49,12 +54,16 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from cyclat.cohomology import tate_h0, tate_h1, yakovlev_diagram  # noqa: E402
 from cyclat.diagrams import (  # noqa: E402
+    YakovlevDiagram,
     _build_hom_system,
+    _check_diagram,
     _isomorphism_search,
     _library_labels,
     _minimized_diagram,
     library_diagram,
+    subtract_library,
 )
+from cyclat.finmod import FiniteGammaModule, GammaMap  # noqa: E402
 from cyclat.groupring import GroupParams  # noqa: E402
 from cyclat.intmat import kernel  # noqa: E402
 from cyclat.lattices import (  # noqa: E402
@@ -77,6 +86,10 @@ LARGE = (3, 4)
 LARGE_DIAGRAMS = (5, 3)
 # groups of the diagram-pair corpus (hom systems and verdicts)
 PAIR_GROUPS = ((3, 2), (3, 3), (5, 2))
+# group of the large_hom_systems section, and the datum shape it predicts:
+# r1, r2 and the ramified places of tests/golden/datum_p3_n3_mixed.json
+LARGE_HOMS = (3, 4)
+MIXED_SHAPE = (1, 0, ((9, 9), (3, 27), (3, 3)))
 BUDGET = 10**6
 # budget of the section that exercises the sampled search
 SMALL_BUDGET = 30
@@ -154,6 +167,47 @@ def pair_corpus(rng):
     yield "p3n2_(1,1)_to_(2,0)+(1,0)", library_diagram(
         params, {(1, 1): 1}
     ), library_diagram(params, {(2, 0): 1, (1, 0): 1})
+    # twists pass the screen against whatever the untwisted ladder passes it against
+    for p, n in PAIR_GROUPS:
+        params = GroupParams(p, n)
+        units = [k for k in range(2, params.order) if k % p]
+        for a, b in _library_labels(n):
+            lib = library_diagram(params, {(a, b): 1})
+            lat = yakovlev_diagram(
+                random_unimodular_change(mab_lattice(params, a, b), rng.getrandbits(64))
+            )
+            yield f"p{p}n{n}_({a},{b})_twisted_library_to_lattice", twisted(
+                lib, rng.choice(units)
+            ), lat
+            yield f"p{p}n{n}_({a},{b})_twisted_lattice_to_library", twisted(
+                lat, rng.choice(units)
+            ), lib
+
+
+def twisted(diagram, k):
+    """The ladder with sigma acting as sigma^k on every level, k prime to p.
+
+    sigma^k generates every subgroup that sigma does, so the twist is a
+    valid ladder (checked) with the same divisor lists and image orders.
+    """
+    levels = [
+        FiniteGammaModule(m.params, m.gens, m.relations, m.action_power(k))
+        for m in diagram.levels
+    ]
+    ups = [GammaMap(levels[i], levels[i + 1], u.matrix) for i, u in enumerate(diagram.ups)]
+    downs = [GammaMap(levels[i + 1], levels[i], d.matrix) for i, d in enumerate(diagram.downs)]
+    out = YakovlevDiagram(diagram.params, levels, ups, downs)
+    _check_diagram(out)
+    return out
+
+
+def large_hom_system_record(p, n):
+    """Hom system of the mixed-shape predicted diagram into its library diagram."""
+    datum = ExtensionDatum(GroupParams(p, n), *MIXED_SHAPE, (4,) + (0,) * (n - 1) + (2,))
+    diagram = predict_diagram(datum)
+    library = library_diagram(datum.params, subtract_library(diagram).extracted)
+    system = _build_hom_system(_minimized_diagram(diagram), _minimized_diagram(library))
+    return [p, n, system.total, system.basis, system.pivots]
 
 
 def predict_corpus(rng):
@@ -231,6 +285,7 @@ def sections(seed):
             records.append([name, verdict.name, witness_record(witness, md2)])
         system = _build_hom_system(md1, md2)
         homs.append([name, system.total, system.basis, system.pivots])
+    large_homs = [large_hom_system_record(*LARGE_HOMS)]
     predicted = [predicted_record(datum) for datum in predict_corpus(rng)]
     return {
         "ideals": ideals,
@@ -240,6 +295,7 @@ def sections(seed):
         "diagrams": diagrams,
         "large_diagrams": large,
         "hom_systems": homs,
+        "large_hom_systems": large_homs,
         "verdicts": verdicts,
         "verdicts_budget30": sampled,
         "predicted": predicted,
