@@ -27,6 +27,7 @@ from .finmod import (
     FiniteGammaModule,
     GammaMap,
     NotStandard,
+    Sentinel,
     gamma_generator_indices,
     module_direct_sum,
     recognize_standard_sum,
@@ -123,8 +124,7 @@ def _check_diagram(diagram):
             raise DiagramError(
                 f"level {i} is not killed by p^{i} (exponent p^{mod.exponent_log()})"
             )
-        moved = intmat.mat_sub(mod.action_power(p ** (n - i)), intmat.identity(mod.gens))
-        if not mod.is_zero_mat(moved):
+        if not mod.is_zero_mat(mod.moved_matrix(i)):
             raise DiagramError(f"order-p^{i} subgroup does not act trivially on level {i}")
     for i in range(1, n):
         up, down = diagram.up(i), diagram.down(i)
@@ -143,10 +143,7 @@ def _check_diagram(diagram):
         if not upper.is_zero_mat(diff):
             raise DiagramError(f"up(down(.)) != p . on level {i + 1}")
         # down after up = relative-norm operator on the lower level
-        step = p ** (n - i - 1)
-        diff = intmat.zeros(lower.gens, lower.gens)
-        for k in range(p):
-            diff = intmat.mat_add(diff, lower.action_power(k * step))
+        diff = lower.apply_relative_norm(i + 1, intmat.identity(lower.gens))
         if upper.gens:
             diff = intmat.mat_sub(intmat.mat_mul(down.matrix, up.matrix), diff)
         if not lower.is_zero_mat(diff):
@@ -633,21 +630,8 @@ def indecomposability_certificate(diagram):
 # -- matching against the library ---------------------------------------------
 
 
-class _Unresolved:
-    """Sentinel: the diagram could not be fully matched against the library."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Unresolved"
-
-    def __bool__(self):
-        return False
+class _Unresolved(Sentinel):
+    """The diagram could not be fully matched against the library."""
 
 
 Unresolved = _Unresolved()

@@ -30,34 +30,40 @@ checked modulo the target relations at construction.
 from __future__ import annotations
 
 from . import intmat
-from .groupring import GroupParams
+from .groupring import GroupParams, SigmaAction, coset_shift
 
 
 class InvariantError(RuntimeError):
     """An internal structural invariant failed; indicates a bug, not bad input."""
 
 
-class _NotStandard:
-    """Returned when a module is provably not a sum of standard modules."""
+class Sentinel:
+    """Base of the falsy marker values, each shown by its class name.
 
-    _instance = None
+    A subclass has one instance: calling the class, ``copy.deepcopy`` and
+    ``pickle`` all give back that instance, so callers test with ``is``.
+    """
 
     def __new__(cls):
-        if cls._instance is None:
+        if "_instance" not in cls.__dict__:
             cls._instance = super().__new__(cls)
         return cls._instance
 
     def __repr__(self):
-        return "NotStandard"
+        return type(self).__name__.lstrip("_")
 
     def __bool__(self):
         return False
 
 
+class _NotStandard(Sentinel):
+    """Returned when a module is provably not a sum of standard modules."""
+
+
 NotStandard = _NotStandard()
 
 
-class FiniteGammaModule:
+class FiniteGammaModule(SigmaAction):
     """Finite p-power-order module over Z_p[Gamma], by generators and relations."""
 
     def __init__(self, params, gens, relations, action, _trusted=False):
@@ -100,13 +106,12 @@ class FiniteGammaModule:
     @classmethod
     def standard(cls, params, a, j):
         """(Z/p^a)[Gamma/Gamma_j]: coset basis, cyclic shift, p^a-torsion."""
-        params.check_level(j)
+        action = coset_shift(params, j)
         if not 1 <= a <= params.n:
             raise ValueError(f"coefficient exponent a={a} outside 1..{params.n}")
-        m = params.p ** (params.n - j)
+        m = len(action)
         pa = params.p**a
         relations = [[pa if i == k else 0 for k in range(m)] for i in range(m)]
-        action = [[1 if i == (k + 1) % m else 0 for k in range(m)] for i in range(m)]
         return cls(params, m, relations, action, _trusted=True)
 
     @classmethod
@@ -185,13 +190,8 @@ class FiniteGammaModule:
         if j not in cache:
             divs = ()
             if self.gens:
-                moved = intmat.mat_sub(
-                    self.action_power(self.params.p ** (self.params.n - j)),
-                    intmat.identity(self.gens),
-                )
-                divs = intmat.smith_diagonal_mod_prime_power(
-                    intmat.hstack(self.relations, moved), self.params.p, self.order_log()
-                )
+                cols = intmat.hstack(self.relations, self.moved_matrix(j))
+                divs = intmat.smith_diagonal_mod_prime_power(cols, self.params.p, self.order_log())
             cache[j] = tuple(d for d in divs if d > 1)
         return cache[j]
 
@@ -220,15 +220,6 @@ class FiniteGammaModule:
             top = next(j for j in range(n, -1, -1) if self.level_divisors(j) == full)
             cache = self.__dict__["_sigma_order"] = p ** (n - top)
         return cache
-
-    def action_power(self, k):
-        cache = self.__dict__.setdefault("_power_cache", {})
-        if self.gens == 0:
-            return []
-        k = k % self.params.order
-        if k not in cache:
-            cache[k] = intmat.mat_pow(self.action, k)
-        return cache[k]
 
     # -- minimized presentation -----------------------------------------------
 
@@ -400,7 +391,7 @@ def gamma_generator_indices(module):
     g = module.gens
     # generator e_k is chosen when it is not in the F_p-span of the
     # relations, (S - I) and the earlier generators; p*M vanishes mod p
-    moved = intmat.mat_sub(module.action, intmat.identity(g))
+    moved = module.moved_matrix(module.params.n)
     cols = intmat.hstack(intmat.hstack(module.relations, moved), intmat.identity(g))
     chosen = [
         c - 2 * g for c in intmat.pivot_columns_mod_p(cols, module.params.p) if c >= 2 * g
@@ -448,9 +439,6 @@ class GammaMap:
         return cls(
             source, target, [[0] * source.gens for _ in range(target.gens)], _trusted=True
         )
-
-    def apply(self, v):
-        return self.target.reduce_vec(intmat.mat_vec(self.matrix, v)) if self.target.gens else []
 
     def compose(self, other):
         """self after other (other first)."""

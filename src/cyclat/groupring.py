@@ -11,13 +11,25 @@ Multiplication is cyclic convolution.  Coefficients are exact Python ints;
 the coefficient ring of interest downstream is Z localized at p, so any
 prime-to-p integer is a unit there — that division is only ever performed
 at normal-form time, never here.
+
+``SigmaAction`` is sigma acting through a matrix: the powers, s_j - 1 and
+the relative norms that lattices and finite modules both compute with, and
+``coset_shift`` is sigma on the permutation module Z[Gamma/Gamma_j].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import intmat
 from .primes import is_prime
+
+
+def check_int(value, what):
+    """value itself, or TypeError unless it is an int (bools and floats are not)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -28,10 +40,8 @@ class GroupParams:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise TypeError("p must be an integer")
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError("n must be an integer")
+        check_int(self.p, "p")
+        check_int(self.n, "n")
         if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
             raise ValueError("p must be an odd prime >= 3")
         if self.n < 1:
@@ -54,8 +64,7 @@ class GroupParams:
         return self.p ** (self.n - j)
 
     def check_level(self, j):
-        if not isinstance(j, int) or isinstance(j, bool):
-            raise TypeError("subgroup index must be an integer")
+        check_int(j, "subgroup index")
         if not 0 <= j <= self.n:
             raise ValueError(f"subgroup index {j} outside 0..{self.n}")
         return j
@@ -172,3 +181,62 @@ def relative_norm_element(params, i):
     for k in range(params.p):
         coeffs[(k * stride) % order] += 1
     return GroupRingElt(params, tuple(coeffs))
+
+
+def coset_shift(params, j):
+    """Action of sigma on Z[Gamma/Gamma_j]: the cyclic shift of its p^(n-j) cosets.
+
+    At j = 0 this is the regular representation on the power basis.
+    """
+    params.check_level(j)
+    m = params.p ** (params.n - j)
+    return [[1 if r == (c + 1) % m else 0 for c in range(m)] for r in range(m)]
+
+
+class SigmaAction:
+    """Sigma acting through the square integer matrix ``self.action``.
+
+    Mixed into ``GammaLattice`` and ``FiniteGammaModule``, which hold
+    ``params`` and ``action``; on a module every matrix here acts on the
+    presentation generators and is read modulo the relations.
+    """
+
+    def action_power(self, k):
+        """A^k for k taken mod p^n, kept in the one power cache.
+
+        A power one past a cached one costs one product, a multiple of p is
+        the p-th power of its p-th part (so the generator s_j = A^(p^(n-j))
+        of the order-p^j subgroup is s_(j+1)^p), and any other power is one
+        ``mat_pow``.
+        """
+        cache = self.__dict__.setdefault("_power_cache", {})
+        if not self.action:
+            return []
+        k %= self.params.order
+        if k not in cache:
+            p = self.params.p
+            if k - 1 in cache:
+                cache[k] = intmat.mat_mul(self.action, cache[k - 1])
+            elif k and k % p == 0:
+                cache[k] = intmat.mat_pow(self.action_power(k // p), p)
+            else:
+                cache[k] = intmat.mat_pow(self.action, k)
+        return cache[k]
+
+    def moved_matrix(self, j):
+        """s_j - I, for s_j = sigma^(p^(n-j)) generating the subgroup of order p^j."""
+        self.params.check_level(j)
+        s = self.action_power(self.params.p ** (self.params.n - j))
+        return [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(s)]
+
+    def apply_relative_norm(self, i, cols):
+        """(1 + s + ... + s^(p-1)) @ cols, for s generating the order-p^i subgroup (i >= 1).
+
+        Costs p - 1 products by s and never forms the norm itself.
+        """
+        s = self.action_power(self.params.subgroup_generator_exponent(i))
+        total = term = cols
+        for _ in range(self.params.p - 1):
+            term = intmat.mat_mul(s, term)
+            total = intmat.mat_add(total, term)
+        return total

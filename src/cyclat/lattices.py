@@ -22,10 +22,10 @@ from __future__ import annotations
 import random
 
 from . import intmat
-from .groupring import GroupParams
+from .groupring import GroupParams, SigmaAction, coset_shift
 
 
-class GammaLattice:
+class GammaLattice(SigmaAction):
     """Free Z-module of finite rank with a generator action matrix."""
 
     def __init__(self, params, action, _trusted=False):
@@ -49,43 +49,8 @@ class GammaLattice:
         if not intmat.is_identity(intmat.mat_pow(self.action, p**n)):
             raise ValueError("action does not have order dividing p^n")
 
-    def action_power(self, k):
-        """A^k, cached per lattice."""
-        cache = self.__dict__.setdefault("_power_cache", {})
-        k = k % (self.params.order) if self.rank else 0
-        if k not in cache:
-            cache[k] = intmat.mat_pow(self.action, k) if self.rank else []
-        return cache[k]
-
-    def subgroup_generator_matrix(self, j):
-        """Action matrix of the generator s_j of the subgroup of order p^j (j >= 1).
-
-        s_n is sigma itself and s_j = s_(j+1)^p, so each level costs one p-th
-        power of the level above; the result is kept in the power cache.
-        """
-        k = self.params.subgroup_generator_exponent(j)
-        cache = self.__dict__.setdefault("_power_cache", {})
-        if j == self.params.n or k in cache:
-            return self.action_power(k)
-        cache[k] = intmat.mat_pow(self.subgroup_generator_matrix(j + 1), self.params.p)
-        return cache[k]
-
-    def moved_matrix(self, j):
-        """Matrix of s_j - I, for s_j generating the subgroup of order p^j (j >= 1)."""
-        s = self.subgroup_generator_matrix(j)
-        return [[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(s)]
-
-    def apply_relative_norm(self, i, cols):
-        """(1 + s + ... + s^(p-1)) @ cols, for s generating the order-p^i subgroup.
-
-        Costs p - 1 products by the sparse s and never forms the norm itself.
-        """
-        s = self.subgroup_generator_matrix(i)
-        total = term = cols
-        for _ in range(self.params.p - 1):
-            term = intmat.mat_mul(s, term)
-            total = intmat.mat_add(total, term)
-        return total
+    # the benchmark tracer patches this name in the class's own namespace
+    action_power = SigmaAction.action_power
 
     def relative_norm_matrix(self, i):
         """Matrix of 1 + s + ... + s^(p-1) for s generating the order-p^i subgroup."""
@@ -115,23 +80,14 @@ class GammaLattice:
         )
 
 
-def regular_shift_matrix(params):
-    """Action of sigma on the group ring itself (cyclic shift of the basis)."""
-    order = params.order
-    return [[1 if i == (j + 1) % order else 0 for j in range(order)] for i in range(order)]
-
-
 def group_ring_lattice(params):
     """The regular representation Z[Gamma] as a lattice of rank p^n."""
-    return GammaLattice(params, regular_shift_matrix(params), _trusted=True)
+    return GammaLattice(params, coset_shift(params, 0), _trusted=True)
 
 
 def permutation_lattice(params, i):
     """Z[Gamma/Gamma_i]: rank p^(n-i), sigma cyclically shifting the cosets."""
-    params.check_level(i)
-    m = params.p ** (params.n - i)
-    action = [[1 if r == (c + 1) % m else 0 for c in range(m)] for r in range(m)]
-    return GammaLattice(params, action, _trusted=True)
+    return GammaLattice(params, coset_shift(params, i), _trusted=True)
 
 
 def ideal_generator_matrix(params, c):
@@ -180,7 +136,7 @@ def mab_lattice(params, a, b):
         for k in range(rank):
             basis[k][k] = 1
             basis[rank + k % stride][k] = -1
-    shifted = intmat.mat_mul(regular_shift_matrix(params), basis)
+    shifted = intmat.mat_mul(coset_shift(params, 0), basis)
     action = intmat.solve_exact(basis, shifted)
     lattice = GammaLattice(params, action, _trusted=True)
     lattice.__dict__["basis_in_group_ring"] = basis

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import diagrams
 from .finmod import FiniteGammaModule, GammaMap, InvariantError
-from .groupring import GroupParams
+from .groupring import GroupParams, check_int
 from . import intmat
 
 HILBERT_CYCLIC = "HilbertCyclic"
@@ -36,7 +36,8 @@ class UnsupportedRegimeError(Exception):
 
 
 def _p_power_log(p, value, what):
-    """Exponent e with value = p**e, or a ValueError naming the field."""
+    """Exponent e with value = p**e, or a TypeError or ValueError naming the field."""
+    check_int(value, what)
     if value < 1:
         raise ValueError(f"{what} must be a positive power of {p}, got {value}")
     e = 0
@@ -81,6 +82,8 @@ class ExtensionDatum:
 
     def __post_init__(self):
         p, n = self.params.p, self.params.n
+        check_int(self.r1, "r1")
+        check_int(self.r2, "r2")
         if self.r1 < 0 or self.r2 < 0:
             raise ValueError("place counts r1, r2 must be nonnegative")
         if self.r1 + self.r2 < 1:
@@ -91,7 +94,7 @@ class ExtensionDatum:
                 place = rec
             else:
                 io, do = rec
-                place = RamifiedPlace(int(io), int(do))
+                place = RamifiedPlace(io, do)
             ie = _p_power_log(p, place.inertia_order, "inertia order")
             de = _p_power_log(p, place.decomposition_order, "decomposition order")
             if ie < 1:
@@ -107,7 +110,7 @@ class ExtensionDatum:
         counts = self.s_counts
         if counts is None:
             counts = (0,) * (n + 1)
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(check_int(c, "s_counts entry") for c in counts)
         if len(counts) != n + 1:
             raise ValueError(f"s_counts must have length n + 1 = {n + 1}")
         if any(c < 0 for c in counts):

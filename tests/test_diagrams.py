@@ -1,5 +1,9 @@
 """Level towers of cohomology modules: validation, isomorphism, subtraction."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from cyclat import intmat
@@ -19,7 +23,7 @@ from cyclat.diagrams import (
     validate_diagram,
     zero_diagram,
 )
-from cyclat.finmod import FiniteGammaModule, GammaMap
+from cyclat.finmod import FiniteGammaModule, GammaMap, NotStandard
 from cyclat.groupring import GroupParams
 from cyclat.lattices import direct_sum, mab_lattice, permutation_lattice
 
@@ -273,3 +277,39 @@ class TestSubtraction:
         assert repr(Unresolved) == "Unresolved"
         # singleton: re-instantiation returns the same object
         assert type(Unresolved)() is Unresolved
+
+
+SENTINELS = [(NotStandard, "NotStandard"), (Unresolved, "Unresolved")]
+
+
+class TestSentinels:
+    """Both markers share one singleton class; callers test them with ``is``."""
+
+    @pytest.mark.parametrize("sentinel, name", SENTINELS)
+    def test_repr_is_the_name(self, sentinel, name):
+        assert repr(sentinel) == name
+
+    @pytest.mark.parametrize("sentinel, name", SENTINELS)
+    def test_falsy(self, sentinel, name):
+        assert not sentinel
+        assert type(sentinel)() is sentinel
+
+    @pytest.mark.parametrize("sentinel, name", SENTINELS)
+    def test_deepcopy_is_identity(self, sentinel, name):
+        assert copy.deepcopy(sentinel) is sentinel
+        assert copy.deepcopy({"r": [sentinel]})["r"][0] is sentinel
+
+    @pytest.mark.parametrize("sentinel, name", SENTINELS)
+    def test_pickle_is_identity(self, sentinel, name):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(sentinel, protocol)) is sentinel
+
+    def test_distinct(self):
+        assert NotStandard is not Unresolved
+        assert type(NotStandard) is not type(Unresolved)
+
+    def test_asdict_keeps_the_unresolved_remainder(self):
+        # asdict deep-copies the remainder field
+        record = dataclasses.asdict(SubtractResult({}, Unresolved))
+        assert record["remainder"] is Unresolved
+        assert pickle.loads(pickle.dumps(SubtractResult({}, Unresolved))).remainder is Unresolved

@@ -103,6 +103,26 @@ class TestExtensionDatum:
         with pytest.raises(ValueError):
             datum(P3N1, s_counts=[-1, 0])
 
+    def test_rejects_non_integer_fields(self):
+        # floats and bools were truncated before: (3.5, 9) became (3, 9)
+        with pytest.raises(TypeError, match="r1"):
+            ExtensionDatum(P3N1, 1.5, 0, [(3, 3)], s_counts=(1, 1))
+        with pytest.raises(TypeError, match="r2"):
+            ExtensionDatum(P3N1, 1, True, [(3, 3)])
+        with pytest.raises(TypeError, match="s_counts"):
+            ExtensionDatum(P3N1, 1, 0, [(3, 3)], s_counts=(1.7, 1))
+        with pytest.raises(TypeError, match="s_counts"):
+            ExtensionDatum(P3N1, 1, 0, [(3, 3)], s_counts=(1, True))
+        with pytest.raises(TypeError, match="inertia order"):
+            ExtensionDatum(P3N2, 1, 0, [(3.5, 9)])
+        with pytest.raises(TypeError, match="decomposition order"):
+            ExtensionDatum(P3N2, 1, 0, [(3, 9.0)])
+        with pytest.raises(TypeError, match="inertia order"):
+            datum(P3N2, ramified=[(True, 9)])
+        kept = ExtensionDatum(P3N2, 1, 0, [(3, 9)], s_counts=[1, 0, 0])
+        assert kept.ramified == (RamifiedPlace(3, 9),)
+        assert kept.s_counts == (1, 0, 0)
+
     def test_rejects_inconsistent_split_flag(self):
         with pytest.raises(ValueError):
             datum(P3N2, s_counts=[1, 1, 0], all_S_split=True)

@@ -38,6 +38,9 @@ holds, for seeded Hilbert-cyclic extension data (p in {3, 5}, n <= 3, one
 to four ramified places), every ``wj_presentation`` level, the minimized
 ``predict_diagram`` and the ``recover_structure`` report.  Each section
 prints its own digest, so a mismatch names the layer where the outputs part.
+The ``powers`` section holds, for each corpus lattice and each of its H^1
+levels, the digest of ``action_power(k)`` for every k < p^n; powers are
+exact, so it cannot depend on how the power cache chains its products.
 """
 
 from __future__ import annotations
@@ -116,6 +119,11 @@ def lattice_corpus(rng):
     params = GroupParams(p, n)
     for a, b in _library_labels(n):
         yield f"p{p}n{n}_({a},{b})", mab_lattice(params, a, b)
+
+
+def powers_digest(obj):
+    """Digest of sigma^k on a lattice or module, for every k < p^n."""
+    return digest([obj.action_power(k) for k in range(obj.params.order)])
 
 
 def module_record(module):
@@ -252,7 +260,7 @@ def predicted_record(datum):
 
 def sections(seed):
     rng = random.Random(seed)
-    ideals, kernels, h1, h0, diagrams = [], [], [], [], []
+    ideals, kernels, h1, h0, diagrams, powers = [], [], [], [], [], []
     for p, n in GROUPS + (LARGE,):
         params = GroupParams(p, n)
         for a, b in _library_labels(n):
@@ -272,6 +280,8 @@ def sections(seed):
         h1.append([name, [module_record(tate_h1(lat, j)) for j in range(n + 1)]])
         h0.append([name, [module_record(tate_h0(lat, j)) for j in range(n + 1)]])
         diagrams.append([name, diagram_record(yakovlev_diagram(lat))])
+        levels = [powers_digest(tate_h1(lat, j)) for j in range(1, n + 1)]
+        powers.append([name, powers_digest(lat), levels])
     large = []
     p, n = LARGE_DIAGRAMS
     params = GroupParams(p, n)
@@ -299,6 +309,7 @@ def sections(seed):
         "verdicts": verdicts,
         "verdicts_budget30": sampled,
         "predicted": predicted,
+        "powers": powers,
     }
 
 
